@@ -19,7 +19,7 @@ global time order through three deployments of the same predictor:
 * **incremental** — the stream leg plus O(session) QR-P maintenance:
   the store keeps each user's live graph, session rollovers update it
   incrementally (:class:`~repro.graphs.QRPGraphMaintainer`) and push
-  the fresh ``(qrp, masks)`` entry into the serving cache, so a
+  the fresh ``(qrp, edges)`` entry into the serving cache, so a
   rollover is cache-neutral instead of an O(history) rebuild on the
   next miss.
 

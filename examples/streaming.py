@@ -87,7 +87,7 @@ def main() -> None:
     # 1b. Incremental graph maintenance rode along for free:
     #     register_predictor attached the model's QR-P maintainer to the
     #     store, so each session rollover UPDATES the user's live graph
-    #     in O(session) and pushes the fresh (graph, masks) entry into
+    #     in O(session) and pushes the fresh (graph, edges) entry into
     #     the predictor's cache — retire-then-push, no rebuild on the
     #     next predict.  Two far-future check-ins force rollovers so the
     #     counters have something to say:

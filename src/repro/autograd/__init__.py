@@ -11,6 +11,8 @@ from .functional import (
     l2_normalize,
     log_softmax,
     masked_fill,
+    segment_softmax,
+    segment_sum,
     softmax,
 )
 from .gradcheck import gradcheck, numerical_gradient
@@ -57,6 +59,8 @@ __all__ = [
     "numerical_gradient",
     "ones",
     "pad_stack",
+    "segment_softmax",
+    "segment_sum",
     "set_default_dtype",
     "softmax",
     "stack",

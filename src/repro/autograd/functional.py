@@ -1,7 +1,8 @@
 """Fused differentiable functions built on :class:`~repro.autograd.Tensor`.
 
 These are the numerically careful versions of operations that would be
-unstable or slow if composed from primitive ops (softmax family), plus a
+unstable or slow if composed from primitive ops (softmax family, and the
+segment softmax/sum pair that graph attention runs over edge lists), plus a
 handful of conveniences (masked attention scores, L2 normalisation,
 cosine similarity) used throughout the TSPN-RA model and baselines.
 """
@@ -54,6 +55,63 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return buf
 
     return Tensor._make(out, (x,), (grad_fn,), "softmax", kernel=kernel)
+
+
+def _segment_runs(segments: np.ndarray) -> tuple:
+    """``(starts, counts)`` of the runs of equal values in sorted ``segments``."""
+    step = segments[1:] - segments[:-1]
+    if (step < 0).any():
+        raise ValueError("segment ids must be sorted")
+    starts = np.concatenate(([0], np.flatnonzero(step) + 1))
+    return starts, np.concatenate((starts[1:], [len(segments)])) - starts
+
+
+def segment_softmax(x: Tensor, segments: ArrayLike) -> Tensor:
+    """Softmax along axis 0 within each run of equal ``segments`` ids.
+
+    ``segments`` is a sorted integer array with one id per row of ``x``
+    (graph attention passes each edge's destination node): rows sharing
+    an id are normalised together, so every destination's in-edges sum
+    to one, without materialising a dense masked score matrix.  The
+    fused backward is ``out * (g - segsum(g * out))``.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
+    if len(segments) != x.shape[0]:
+        raise ValueError(f"{len(segments)} segment ids for {x.shape[0]} rows")
+    if not len(segments):
+        return Tensor._make(x.data.copy(), (x,), (np.zeros_like,), "segment_softmax")
+    starts, counts = _segment_runs(segments)
+    peak = np.repeat(np.maximum.reduceat(x.data, starts, axis=0), counts, axis=0)
+    exp = np.exp(x.data - peak)
+    out = exp / np.repeat(np.add.reduceat(exp, starts, axis=0), counts, axis=0)
+
+    def grad_fn(g: np.ndarray) -> np.ndarray:
+        dot = np.add.reduceat(g * out, starts, axis=0)
+        return out * (g - np.repeat(dot, counts, axis=0))
+
+    return Tensor._make(out, (x,), (grad_fn,), "segment_softmax")
+
+
+def segment_sum(x: Tensor, segments: ArrayLike, num_segments: int) -> Tensor:
+    """Sum the rows of ``x`` into ``num_segments`` rows by sorted ``segments``.
+
+    Row ``i`` of the result adds up the rows of ``x`` whose segment id
+    is ``i``; ids no row carries give zero rows.  This scatters graph
+    attention's weighted messages onto their destination nodes.  The
+    adjoint is the gather ``g[segments]``.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
+    if len(segments) != x.shape[0]:
+        raise ValueError(f"{len(segments)} segment ids for {x.shape[0]} rows")
+    out = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
+    if len(segments):
+        starts, _ = _segment_runs(segments)
+        out[segments[starts]] = np.add.reduceat(x.data, starts, axis=0)
+
+    def grad_fn(g: np.ndarray) -> np.ndarray:
+        return g[segments]
+
+    return Tensor._make(out, (x,), (grad_fn,), "segment_sum")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -7,24 +7,28 @@ Per edge type k the layer computes GAT-style attention
 and node i's update sums attention-weighted messages over all edge
 types:  h_i^{l+1} = sigma( sum_k sum_{j in N_k(i)} A_k[i,j] W_k h_j ).
 
-QR-P graphs are small (tens of nodes), so attention is computed as a
-dense masked matrix per edge type — simple and exactly Eq. 6.
+Attention runs over each graph's edge list: every (i, j) edge of type
+k is scored, :func:`~repro.autograd.segment_softmax` normalises over
+each destination's in-edges and :func:`~repro.autograd.segment_sum`
+scatters the weighted messages back onto the nodes.  Cost is linear in
+nodes + edges.  A QR-P graph is a quad-tree skeleton plus road and
+contain edges, so it has a few edges per node while long histories
+(and packs of several graphs) reach hundreds of nodes: a dense masked
+(n, n) formulation would spend nearly all of its work on non-edges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..autograd import Tensor, masked_fill, softmax
-from ..graphs import EDGE_TYPES, QRPGraph, attention_masks
+from ..autograd import Tensor, segment_softmax, segment_sum
+from ..graphs import EDGE_TYPES, QRPGraph, attention_edges
 from ..nn import Linear, Module, ModuleList
 from ..nn.module import Parameter
 from ..nn import init as nn_init
 from ..utils.rng import default_rng
-
-_NEG = -1e9
 
 
 class HGATLayer(Module):
@@ -40,26 +44,26 @@ class HGATLayer(Module):
         self.a_dst = {k: Parameter(nn_init.xavier_uniform((dim,), rng)) for k in EDGE_TYPES}
         self.a_src = {k: Parameter(nn_init.xavier_uniform((dim,), rng)) for k in EDGE_TYPES}
 
-    def forward(self, h: Tensor, masks: Dict[str, np.ndarray]) -> Tensor:
-        """``masks[k][i, j]`` is True when j is NOT a k-neighbour of i."""
+    def forward(self, h: Tensor, edges: Dict[str, np.ndarray]) -> Tensor:
+        """``edges[k]`` is a ``(2, E)`` ``[dst; src]`` array sorted by dst.
+
+        Node ``dst`` attends to its k-neighbour ``src`` (see
+        :func:`repro.graphs.attention_edges`).  Nodes without k-neighbours
+        receive no k-message; a layer over no edges at all is the
+        identity.
+        """
         n = h.shape[0]
         total = None
         for kind in EDGE_TYPES:
-            mask = masks[kind]
-            has_neighbors = (~mask).any(axis=1)  # (n,)
-            if not has_neighbors.any():
+            dst, src = edges[kind]
+            if not len(dst):
                 continue
             wh = self.w[kind](h)  # (n, dim)
-            score_dst = wh @ self.a_dst[kind]  # (n,)
-            score_src = wh @ self.a_src[kind]  # (n,)
             scores = (
-                score_dst.reshape(n, 1) + score_src.reshape(1, n)
-            ).leaky_relu(0.2)
-            attention = softmax(masked_fill(scores, mask, _NEG), axis=1)
-            # Rows with zero k-neighbours got a uniform distribution over
-            # the -1e9 fills; zero them out entirely.
-            attention = attention * Tensor(has_neighbors[:, None].astype(np.float64))
-            messages = attention @ wh
+                (wh @ self.a_dst[kind])[dst] + (wh @ self.a_src[kind])[src]
+            ).leaky_relu(0.2)  # (E,)
+            attention = segment_softmax(scores, dst)
+            messages = segment_sum(attention.reshape(-1, 1) * wh[src], dst, n)
             total = messages if total is None else total + messages
         if total is None:
             return h
@@ -76,62 +80,58 @@ class HGATEncoder(Module):
 
     @staticmethod
     def build_masks(qrp: QRPGraph) -> Dict[str, np.ndarray]:
-        """Dense blocked-attention masks per edge type.
+        """Per-edge-type attention edges of ``qrp``.
 
-        Delegates to :func:`repro.graphs.attention_masks` — one
-        advanced-indexing assignment per edge type instead of a Python
-        per-edge loop — so the serve path, the incremental maintainer,
-        and the differential harness all share one mask constructor.
+        Delegates to :func:`repro.graphs.attention_edges`, so the serve
+        path, the incremental maintainer and the differential harness
+        share one constructor.  The name predates the edge-list layer;
+        the repository benchmark's traced run wraps it under this name.
         """
-        return attention_masks(qrp)
+        return attention_edges(qrp)
 
-    def forward(self, qrp: QRPGraph, h0: Tensor, masks: Dict[str, np.ndarray] = None) -> Tensor:
+    def forward(self, qrp: QRPGraph, h0: Tensor, edges: Dict[str, np.ndarray] = None) -> Tensor:
         """Run all rounds; ``h0`` rows follow the graph's local indexing.
 
-        ``masks`` may be passed in to reuse a cached
-        :meth:`build_masks` result across epochs (the masks depend only
-        on the graph, not on parameters).
+        A pack of one graph (:meth:`forward_packed`).  ``edges`` may be
+        passed in to reuse a cached :meth:`build_masks` result across
+        epochs (the edges depend only on the graph, not on parameters).
         """
-        if masks is None:
-            masks = self.build_masks(qrp)
-        h = h0
-        for layer in self.layers:
-            h = layer(h, masks)
-        return h
+        if edges is None:
+            edges = self.build_masks(qrp)
+        return self.forward_packed([edges], h0, [qrp.graph.num_nodes])
 
     def forward_packed(
-        self, masks_list: List[Dict[str, np.ndarray]], h0: Tensor, sizes: List[int]
+        self, edges_list: List[Dict[str, np.ndarray]], h0: Tensor, sizes: List[int]
     ) -> Tensor:
-        """One pass over several graphs packed block-diagonally.
+        """One pass over several graphs packed as a disjoint union.
 
         ``h0`` stacks the graphs' initial node embeddings (graph i's
-        rows occupy ``[offsets[i], offsets[i+1])``); ``masks_list[i]``
-        is graph i's :meth:`build_masks` result.  Off-diagonal blocks
-        stay fully masked, so no attention crosses graph boundaries
-        and row values match running :meth:`forward` per graph — this
-        is the standard disjoint-union batching trick for heterogeneous
-        graphs, and it collapses a Python-loop of per-graph passes into
-        one dense pass per layer (the per-training-batch hot path).
+        rows occupy ``[offsets[i], offsets[i+1])``); ``edges_list[i]``
+        is graph i's :meth:`build_masks` result.  Offsetting each
+        graph's edges by its first row and concatenating them keeps
+        every edge inside its graph and the destinations sorted, so
+        each row's value is that of running the graph alone (up to
+        matmul rounding, which depends on the row count) — for
+        training, per-sample and batched inference alike.
 
-        Callers must not pack edge-free graphs: per-graph
-        :meth:`forward` short-circuits them to the identity, while a
-        packed layer sums (empty) messages for every row and would
-        zero them out.  ``TSPNRA._history_knowledge_batch`` filters
-        such graphs (reachable via the ``drop_edge_type`` ablations)
-        before packing.
+        Callers must not pack edge-free graphs: alone, a graph without
+        edges is the identity, while inside a pack with edges its rows
+        receive no messages and come out as ``tanh(0) = 0``.
+        ``TSPNRA._history_knowledge_batch`` filters such graphs
+        (reachable via the ``drop_edge_type`` ablations) before packing.
         """
-        if len(masks_list) != len(sizes):
-            raise ValueError("masks_list and sizes disagree")
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        if len(edges_list) != len(sizes):
+            raise ValueError("edges_list and sizes disagree")
+        offsets = np.cumsum([0] + list(sizes))
         n = int(offsets[-1])
         if h0.shape[0] != n:
             raise ValueError(f"h0 has {h0.shape[0]} rows, sizes sum to {n}")
-        masks = {kind: np.ones((n, n), dtype=bool) for kind in EDGE_TYPES}
-        for i, graph_masks in enumerate(masks_list):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            for kind in EDGE_TYPES:
-                masks[kind][lo:hi, lo:hi] = graph_masks[kind]
+        edges = {}
+        for kind in EDGE_TYPES:
+            parts = [graph_edges[kind] for graph_edges in edges_list]
+            shift = np.repeat(offsets[:-1], [part.shape[1] for part in parts])
+            edges[kind] = np.concatenate(parts, axis=1) + shift
         h = h0
         for layer in self.layers:
-            h = layer(h, masks)
+            h = layer(h, edges)
         return h

@@ -54,14 +54,6 @@ from .two_step import (
 # The historic TSPN-RA-only result type is now the serve-wide one.
 PredictionResult = PredictorResult
 
-# Upper bound on the node count of one packed block-diagonal HGAT pass:
-# dense (N, N) attention masks grow quadratically, so very large
-# inference chunks (the evaluator feeds 128 samples at a time) are
-# split into several packs instead of one huge one.  Training batches
-# (size 8) always fit in a single pack.
-MAX_PACKED_NODES = 512
-
-
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 0 else 0
 
@@ -153,7 +145,7 @@ class TSPNRA(Module, PredictorBase):
         # POI -> leaf-tile lookup table (filled lazily; lets the batched
         # encode map a whole (batch, length) id array in one gather)
         self._poi_leaf: Optional[np.ndarray] = None
-        # cache of (graph, HGAT masks) keyed by (user, trajectory index);
+        # cache of (graph, HGAT edges) keyed by (user, trajectory index);
         # unbounded by default, swappable for a bounded LRU when serving
         self._graph_cache: LRUCache = LRUCache(maxsize=None)
         # HGAT knowledge rows keyed (history_key, weights_version), used
@@ -216,10 +208,10 @@ class TSPNRA(Module, PredictorBase):
             qrp = self.tile_system.build_graph(sample.history)
             if self.config.drop_edge_type:
                 qrp = strip_edges(qrp, self.config.drop_edge_type)
-            masks = (
+            edges = (
                 HGATEncoder.build_masks(qrp) if self.config.use_graph and not qrp.is_empty else {}
             )
-            cached = (qrp, masks)
+            cached = (qrp, edges)
             self._graph_cache.put(key, cached)
         return cached
 
@@ -290,7 +282,7 @@ class TSPNRA(Module, PredictorBase):
         """HGAT knowledge rows for one sample: (tiles, pois) or (None, None)."""
         if not (self.config.use_graph and sample.history):
             return None, None
-        qrp, masks = self._qrp_for(sample)
+        qrp, edges = self._qrp_for(sample)
         if qrp.is_empty:
             return None, None
         initial = concat(
@@ -300,7 +292,7 @@ class TSPNRA(Module, PredictorBase):
             ],
             axis=0,
         )
-        knowledge = self.hgat(qrp, initial, masks=masks)
+        knowledge = self.hgat(qrp, initial, edges=edges)
         n_tiles = len(qrp.tile_refs)
         return knowledge[0:n_tiles], knowledge[n_tiles:]
 
@@ -310,17 +302,16 @@ class TSPNRA(Module, PredictorBase):
         tile_embeddings: Tensor,
         poi_embeddings: Tensor,
     ):
-        """HGAT knowledge for every *unique* history, in packed passes.
+        """HGAT knowledge for every *unique* history, in one packed pass.
 
         Returns ``{history_key: (tile rows, poi rows)}`` (``(None,
         None)`` for empty histories/graphs).  Unique QR-P graphs are
-        packed block-diagonally and run through
+        packed as a disjoint union and run through
         :meth:`HGATEncoder.forward_packed` — two embedding gathers,
-        one permutation and one dense pass per pack replace the
-        per-graph Python loop, for inference and the batched training
-        loss alike.  Packs are capped at :data:`MAX_PACKED_NODES`
-        total nodes so large evaluation chunks never materialise a
-        huge dense ``(N, N)`` mask.
+        one permutation and one edge-list pass replace the per-graph
+        Python loop, for inference and the batched training loss
+        alike.  The pass costs O(nodes + edges), so the whole batch
+        shares one pack whatever its size.
         """
         knowledge = {}
         to_pack: List[Tuple[Tuple, QRPGraph, dict]] = []
@@ -332,7 +323,7 @@ class TSPNRA(Module, PredictorBase):
             if not (self.config.use_graph and sample.history):
                 knowledge[key] = (None, None)
                 continue
-            qrp, masks = self._qrp_for(sample)
+            qrp, edges = self._qrp_for(sample)
             if qrp.is_empty:
                 knowledge[key] = (None, None)
             elif not any(qrp.graph.edges[kind] for kind in qrp.graph.edges):
@@ -347,23 +338,13 @@ class TSPNRA(Module, PredictorBase):
                 )
             else:
                 seen.add(key)
-                to_pack.append((key, qrp, masks))
-        # greedy size-capped packs: dense masks are (N, N), so bound N
-        group: List[Tuple[Tuple, QRPGraph, dict]] = []
-        group_nodes = 0
-        for entry in to_pack:
-            nodes = entry[1].graph.num_nodes
-            if group and group_nodes + nodes > MAX_PACKED_NODES:
-                self._run_packed(group, knowledge, tile_embeddings, poi_embeddings)
-                group, group_nodes = [], 0
-            group.append(entry)
-            group_nodes += nodes
-        if group:
-            self._run_packed(group, knowledge, tile_embeddings, poi_embeddings)
+                to_pack.append((key, qrp, edges))
+        if to_pack:
+            self._run_packed(to_pack, knowledge, tile_embeddings, poi_embeddings)
         return knowledge
 
     def _run_packed(self, packed, knowledge, tile_embeddings, poi_embeddings):
-        """One block-diagonal HGAT pass; fills ``knowledge`` in place."""
+        """One packed HGAT pass; fills ``knowledge`` in place."""
         tile_counts = [len(qrp.tile_refs) for _, qrp, _ in packed]
         poi_counts = [len(qrp.poi_refs) for _, qrp, _ in packed]
         all_tile_refs = np.concatenate(
@@ -374,7 +355,7 @@ class TSPNRA(Module, PredictorBase):
         )
         # Stacked gathers come out [all tiles..., all pois...]; the
         # permutation re-blocks them per graph (tiles then pois), the
-        # node order each graph's masks expect.
+        # node order each graph's edges index.
         total_tiles = int(sum(tile_counts))
         tile_offsets = np.concatenate([[0], np.cumsum(tile_counts)])
         poi_offsets = np.concatenate([[0], np.cumsum(poi_counts)]) + total_tiles
@@ -417,8 +398,9 @@ class TSPNRA(Module, PredictorBase):
         ``(batch, seq, dim)`` tensor (causal masking keeps padded
         positions out of every real position's receptive field).  QR-P
         graph knowledge is still computed per *unique* history —
-        graphs are tiny, heterogeneous, and shared by every sample of
-        a trajectory — then right-padded on the autograd graph
+        graphs are heterogeneous and shared by every sample of a
+        trajectory — in one packed edge-list pass, then right-padded
+        on the autograd graph
         (:func:`repro.autograd.pad_stack`) and masked for the batched
         cross attention.  Under gradient tracking every op here is
         differentiable, so :meth:`loss_batch` backpropagates one
@@ -801,11 +783,13 @@ class TSPNRA(Module, PredictorBase):
         """Per-sample HGAT knowledge rows as plain arrays, LRU-cached.
 
         Cache misses are computed in one :meth:`_history_knowledge_batch`
-        call (packed block-diagonal HGAT); the packed pass is exactly
-        padding/pack-invariant — cross-graph attention weights are exact
-        zeros — so rows computed in different batch compositions are
-        bit-identical, which keeps the cached-vs-fresh distinction
-        invisible to ranked lists.
+        call (one packed HGAT pass).  No attention crosses graph
+        boundaries, but a graph's rows are not bit-identical across
+        pack compositions: the per-type projection is one matmul over
+        the whole pack, and BLAS rounding depends on its row count
+        (differences stay at the 1e-16 level).  What holds — and what
+        the tests and the repository benchmark check — is that cached
+        and fresh rows yield identical ranked lists.
         """
         version = self.weights_version()
         by_key: Dict = {}

@@ -5,7 +5,7 @@ from .incremental import (
     QRPGraphMaintainer,
     QRPGraphState,
     StaleEvictionError,
-    attention_masks,
+    attention_edges,
     evict_qrp_graph,
     graphs_equal,
     update_qrp_graph,
@@ -20,7 +20,7 @@ __all__ = [
     "QRPGraphMaintainer",
     "QRPGraphState",
     "StaleEvictionError",
-    "attention_masks",
+    "attention_edges",
     "build_qrp_graph",
     "evict_qrp_graph",
     "graphs_equal",

@@ -12,10 +12,10 @@ enough bookkeeping per user to apply exactly that delta:
   first-visit order of the concatenated history);
 * per-leaf visit counts — a leaf leaves the graph only when its last
   counted visit is evicted;
-* the live :class:`~repro.graphs.qrp.QRPGraph` plus its dense
-  attention masks, rebuilt **only for the touched neighbourhoods**:
-  appending a session that introduces no new leaf pads the existing
-  masks and fills just the new contain slots; structural changes
+* the live :class:`~repro.graphs.qrp.QRPGraph` plus its attention
+  edge arrays, rebuilt **only where the delta reaches**: appending a
+  session that introduces no new leaf appends POI nodes and contain
+  edges to the existing tile skeleton; structural changes
   (new/dropped leaves, reordered POIs) re-run the cheap canonical
   assembly over the maintained order.
 
@@ -33,6 +33,7 @@ store surfaces ``graph_rebuilds`` so a fallback storm is visible in
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,24 +43,46 @@ from .hetero import EDGE_TYPES, HeteroGraph
 from .qrp import QRPGraph
 
 
-def attention_masks(qrp: QRPGraph) -> Dict[str, np.ndarray]:
-    """Dense blocked-attention masks per edge type (vectorised).
+def attention_edges(qrp: QRPGraph) -> Dict[str, np.ndarray]:
+    """Per-edge-type ``(2, E)`` int64 ``[dst; src]`` attention edges.
 
-    ``masks[k][i, j]`` is True when j is NOT a k-neighbour of i — the
-    exact contract of :meth:`repro.core.hgat.HGATLayer.forward`.  One
-    advanced-indexing assignment per edge type replaces the Python
-    per-edge loop; ``HGATEncoder.build_masks`` delegates here.
+    Column ``(i, j)`` of ``edges[k]`` means node i attends to its
+    k-neighbour j — the contract of
+    :meth:`repro.core.hgat.HGATLayer.forward`;
+    ``HGATEncoder.build_masks`` delegates here.  Duplicate pairs
+    collapse (attention is defined over the edge *set*) and columns
+    sort by ``(dst, src)``, so every destination's in-edges form one
+    contiguous run — the layout the segment softmax/sum need — and
+    equal edge sets give identical arrays whatever order the pairs
+    were added in.
     """
     n = qrp.graph.num_nodes
-    masks: Dict[str, np.ndarray] = {}
-    for kind in EDGE_TYPES:
-        mask = np.ones((n, n), dtype=bool)
-        pairs = qrp.graph.edges[kind]
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            mask[arr[:, 1], arr[:, 0]] = False  # dst attends to src
-        masks[kind] = mask
-    return masks
+    lists = [qrp.graph.edges[kind] for kind in EDGE_TYPES]
+    counts = [len(pairs) for pairs in lists]
+    total = sum(counts)
+    if not total:
+        return {kind: np.zeros((2, 0), dtype=np.int64) for kind in EDGE_TYPES}
+    # One (kind, dst, src) mixed-radix key per pair: a single sort
+    # orders and a single comparison deduplicates all three types.
+    # This runs on every graph build and incremental reassembly, so it
+    # stays a handful of whole-array calls (per-type np.asarray +
+    # np.unique costs several times more at QR-P sizes).
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(lists)), dtype=np.int64, count=2 * total
+    )
+    keys = np.repeat(np.arange(len(EDGE_TYPES), dtype=np.int64) * (n * n), counts)
+    keys += flat[1::2] * n
+    keys += flat[0::2]
+    keys.sort()
+    keep = np.ones(total, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    kind_of, node_pair = np.divmod(keys[keep], n * n)
+    pairs = np.empty((2, len(node_pair)), dtype=np.int64)
+    np.divmod(node_pair, n, out=(pairs[0], pairs[1]))
+    bounds = np.searchsorted(kind_of, np.arange(len(EDGE_TYPES) + 1)).tolist()
+    return {
+        kind: pairs[:, bounds[i] : bounds[i + 1]] for i, kind in enumerate(EDGE_TYPES)
+    }
 
 
 def graphs_equal(a: QRPGraph, b: QRPGraph) -> bool:
@@ -69,9 +92,9 @@ def graphs_equal(a: QRPGraph, b: QRPGraph) -> bool:
     first-visit order), so node lists compare positionally.  Edge
     *list* order is not canonical — ``build_qrp_graph`` iterates sets
     for road edges — so per-type edges compare as multisets; the HGAT
-    attention masks depend only on the edge *set*, so multiset-equal
-    edges give bit-identical masks (asserted separately by the fuzz
-    harness via :func:`attention_masks`).
+    attention edges depend only on the edge *set*, so multiset-equal
+    edges give identical arrays (asserted separately by the fuzz
+    harness via :func:`attention_edges`).
     """
     return (
         a.graph.node_types == b.graph.node_types
@@ -97,7 +120,7 @@ class QRPGraphState:
 
     All mutation goes through the :class:`QRPGraphMaintainer` that
     created it (``state.maintainer``) under the owning shard's lock.
-    ``qrp``/``masks`` are replaced wholesale on change (copy-on-write),
+    ``qrp``/``edges`` are replaced wholesale on change (copy-on-write),
     never mutated in place — snapshots and pushed cache entries stay
     immutable, the same contract completed :class:`Trajectory` objects
     follow.
@@ -112,7 +135,7 @@ class QRPGraphState:
         "order",
         "leaf_counts",
         "qrp",
-        "masks",
+        "edges",
     )
 
     def __init__(self, maintainer: "QRPGraphMaintainer"):
@@ -124,7 +147,7 @@ class QRPGraphState:
         self.order: List[int] = []  # POIs by first occurrence
         self.leaf_counts: Dict[int, int] = {}
         self.qrp: QRPGraph = _empty_qrp()
-        self.masks: Dict[str, np.ndarray] = attention_masks(self.qrp)
+        self.edges: Dict[str, np.ndarray] = attention_edges(self.qrp)
 
 
 class StaleEvictionError(RuntimeError):
@@ -198,7 +221,7 @@ class QRPGraphMaintainer:
             self._reassemble(state)
         elif new_pois:
             self._extend_pois(state, new_pois)
-        # else: repeat visits only — graph and masks are already exact
+        # else: repeat visits only — graph and edges are already exact
         return state.qrp
 
     def evict_session(self, state: QRPGraphState, trajectory: Trajectory) -> QRPGraph:
@@ -278,10 +301,9 @@ class QRPGraphMaintainer:
     def _extend_pois(self, state: QRPGraphState, new_pois: List[int]) -> None:
         """Append POI nodes to a structurally unchanged tile skeleton.
 
-        The touched attention neighbourhoods are exactly the new rows/
-        columns plus each new POI's leaf row: the old masks are copied
-        into the top-left block and only the fresh contain slots are
-        cleared — no re-derivation of untouched neighbourhoods.
+        The tile nodes, their branch and road edges and the existing
+        POIs keep their indices; only new POI nodes and their contain
+        edges are appended, with no subtree or road re-derivation.
         """
         old = state.qrp
         graph = HeteroGraph()
@@ -291,22 +313,12 @@ class QRPGraphMaintainer:
         graph.edges = {kind: list(pairs) for kind, pairs in old.graph.edges.items()}
         poi_nodes = list(old.poi_nodes)
         poi_refs = list(old.poi_refs)
-        n_old = old.graph.num_nodes
-        n = n_old + len(new_pois)
-        masks = {}
-        for kind in EDGE_TYPES:
-            mask = np.ones((n, n), dtype=bool)
-            mask[:n_old, :n_old] = state.masks[kind]
-            masks[kind] = mask
-        contain = masks["contain"]
         for poi in new_pois:
             poi_index = graph.add_node("poi", poi)
             leaf_index = graph.index_of("tile", self._leaf_of(poi))
             graph.add_edge("contain", leaf_index, poi_index)
             poi_nodes.append(poi_index)
             poi_refs.append(poi)
-            contain[poi_index, leaf_index] = False
-            contain[leaf_index, poi_index] = False
         graph.validate()
         state.qrp = QRPGraph(
             graph=graph,
@@ -316,7 +328,7 @@ class QRPGraphMaintainer:
             poi_refs=poi_refs,
             leaf_tile_refs=set(old.leaf_tile_refs),
         )
-        state.masks = masks
+        state.edges = attention_edges(state.qrp)
 
     def _reassemble(self, state: QRPGraphState) -> None:
         """Canonical assembly from the maintained order and leaf set.
@@ -328,7 +340,7 @@ class QRPGraphMaintainer:
         """
         if not state.order:
             state.qrp = _empty_qrp()
-            state.masks = attention_masks(state.qrp)
+            state.edges = attention_edges(state.qrp)
             return
         leaf_set = set(state.leaf_counts)
         subtree_nodes, branch_edges = self.tree.minimal_subtree(leaf_set)
@@ -360,7 +372,7 @@ class QRPGraphMaintainer:
             poi_refs=[graph.node_refs[i] for i in poi_nodes],
             leaf_tile_refs=leaf_set,
         )
-        state.masks = attention_masks(state.qrp)
+        state.edges = attention_edges(state.qrp)
 
 
 def update_qrp_graph(state: QRPGraphState, new_trajectory: Trajectory) -> QRPGraph:

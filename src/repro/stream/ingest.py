@@ -16,7 +16,7 @@
 * when the store maintains incremental QR-P graphs (a
   :class:`~repro.graphs.QRPGraphMaintainer` attached via
   :meth:`register_predictor`), the same append also carries the
-  *replacement* entry — the O(session)-updated ``(qrp, masks)`` under
+  *replacement* entry — the O(session)-updated ``(qrp, edges)`` under
   the new ``history_version`` key — which is pushed into every
   graph-compatible cache.  Retire-then-push makes a rollover
   cache-neutral: the next predict for that user hits a fresh entry

@@ -91,7 +91,7 @@ class AppendResult:
     the ingest pipeline drops it from the serving caches.  When a graph
     maintainer is attached, ``history_key``/``graph_entry`` carry the
     *replacement*: the key the moved history now lives under and the
-    incrementally updated ``(qrp, masks)`` cache value, which the
+    incrementally updated ``(qrp, edges)`` cache value, which the
     ingest pipeline pushes into compatible worker caches so the next
     predict for this user is a cache hit instead of a rebuild.
     """
@@ -104,7 +104,7 @@ class AppendResult:
     num_sessions: int  # completed sessions now in history
     invalidated_key: Optional[Tuple] = None
     history_key: Optional[Tuple] = None  # set when the history moved
-    graph_entry: Optional[Tuple] = None  # fresh (qrp, masks) for history_key
+    graph_entry: Optional[Tuple] = None  # fresh (qrp, edges) for history_key
 
     def as_dict(self) -> Dict:
         return {
@@ -136,7 +136,7 @@ class UserSnapshot:
     last_timestamp: float
     gap_hours: float = DEFAULT_GAP_HOURS
     max_session_visits: int = 512
-    #: The live incrementally maintained ``(qrp, masks)`` for
+    #: The live incrementally maintained ``(qrp, edges)`` for
     #: ``history`` when a graph maintainer is attached and the user's
     #: graph has been materialised; versioned by ``history_version``
     #: (the graph is a pure function of the completed sessions, which
@@ -178,10 +178,10 @@ def _graph_entry(gstate) -> Tuple:
     """A live graph state as a serving-cache value.
 
     Matches what the model's cache-miss path (``TSPNRA._qrp_for``)
-    builds: ``(qrp, masks)``, with masks accompanying non-empty graphs
+    builds: ``(qrp, edges)``, with edges accompanying non-empty graphs
     only — so a pushed entry is indistinguishable from a rebuilt one.
     """
-    return (gstate.qrp, gstate.masks if not gstate.qrp.is_empty else {})
+    return (gstate.qrp, gstate.edges if not gstate.qrp.is_empty else {})
 
 
 class _UserState:
@@ -282,7 +282,7 @@ class UserStateStore:
 
         Called under the shard lock, after ``closed`` has been appended
         to (and ``evicted`` dropped from) the session deque.  Returns
-        the fresh ``(qrp, masks)`` cache entry.  Anything the
+        the fresh ``(qrp, edges)`` cache entry.  Anything the
         incremental path refuses (:class:`StaleEvictionError`) falls
         back to an explicit full build from the authoritative deque —
         counted in ``graph_rebuilds``, so fallback storms surface in

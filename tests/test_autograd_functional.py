@@ -1,4 +1,4 @@
-"""Tests for fused functional ops (softmax family, conv2d, normalisation)."""
+"""Tests for fused functional ops (softmax family, segment ops, conv2d, normalisation)."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from repro.autograd import (
     l2_normalize,
     log_softmax,
     masked_fill,
+    segment_softmax,
+    segment_sum,
     softmax,
 )
 from repro.autograd.functional import col2im, im2col
@@ -54,6 +56,54 @@ class TestSoftmaxFamily:
         x = _t(np.random.default_rng(4).normal(size=(3, 4)))
         targets = np.array([0, 2, 1])
         assert gradcheck(lambda t: cross_entropy(t, targets), [x])
+
+
+class TestSegmentOps:
+    """Segment softmax/sum: the fused pair under edge-list graph attention."""
+
+    # runs of length 3, 2 and 1 (a single-in-edge destination)
+    SEGMENTS = np.array([0, 0, 0, 2, 2, 5])
+
+    def test_segment_softmax_matches_per_run_softmax(self):
+        x = _t(np.random.default_rng(20).normal(size=6))
+        out = segment_softmax(x, self.SEGMENTS).data
+        for seg in (0, 2, 5):
+            run = self.SEGMENTS == seg
+            np.testing.assert_allclose(out[run], softmax(Tensor(x.data[run])).data, rtol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 2)])
+    def test_segment_softmax_grad(self, shape):
+        # weighted: each run sums to one, so an unweighted sum has zero gradient
+        weights = Tensor(np.random.default_rng(21).normal(size=shape))
+        x = _t(np.random.default_rng(22).normal(size=shape))
+        assert gradcheck(lambda t: segment_softmax(t, self.SEGMENTS) * weights, [x])
+
+    def test_segment_sum_values_and_empty_segments(self):
+        x = _t(np.arange(12.0).reshape(6, 2))
+        out = segment_sum(x, self.SEGMENTS, 7).data
+        expected = np.zeros((7, 2))
+        np.add.at(expected, self.SEGMENTS, x.data)
+        assert np.array_equal(out, expected)
+        assert not out[[1, 3, 4, 6]].any()
+
+    def test_segment_sum_grad(self):
+        x = _t(np.random.default_rng(24).normal(size=(6, 3)))
+        weights = Tensor(np.random.default_rng(25).normal(size=(7, 3)))
+        assert gradcheck(lambda t: segment_sum(t, self.SEGMENTS, 7) * weights, [x])
+
+    def test_no_rows(self):
+        x = _t(np.zeros((0, 3)))
+        assert segment_softmax(x, np.zeros(0, dtype=np.int64)).shape == (0, 3)
+        assert np.array_equal(segment_sum(x, np.zeros(0, dtype=np.int64), 2).data, np.zeros((2, 3)))
+
+    def test_rejects_unsorted_or_mismatched_ids(self):
+        x = _t(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="sorted"):
+            segment_softmax(x, [1, 0, 1])
+        with pytest.raises(ValueError, match="sorted"):
+            segment_sum(x, [0, 2, 1], 3)
+        with pytest.raises(ValueError, match="segment ids"):
+            segment_sum(x, [0, 1], 3)
 
 
 class TestMaskingAndNorms:

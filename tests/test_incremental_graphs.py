@@ -10,9 +10,10 @@ module proves it three ways:
   rule, forced rolls at ``max_session_visits``, deque evictions,
   repeat POIs, length-1 sessions) drives 200+ fast differential
   streams — plus a long randomized soak behind the ``slow`` marker;
-* the serve path's packed block-diagonal HGAT is identity-tested
-  against the per-graph path (mixed graph sizes, empty-graph users,
-  ``MAX_PACKED_NODES`` overflow, concurrent ``InferenceServer`` load);
+* the serve path's packed HGAT is identity-tested against the
+  per-graph path (mixed graph sizes, empty-graph users, one pass per
+  history vs one pass for the batch, concurrent ``InferenceServer``
+  load);
 * snapshot/recovery carries the incremental graphs: a restored store
   fed the same tail converges to graphs identical to a store that
   never went down.
@@ -23,7 +24,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.core.model as model_module
 from repro.autograd import Tensor
 from repro.cluster.snapshot import load_snapshot, save_snapshot
 from repro.core import TSPNRA, TSPNRAConfig
@@ -35,7 +35,7 @@ from repro.graphs import (
     EDGE_TYPES,
     QRPGraphMaintainer,
     StaleEvictionError,
-    attention_masks,
+    attention_edges,
     build_qrp_graph,
     evict_qrp_graph,
     graphs_equal,
@@ -112,18 +112,18 @@ def _interleave(rng, streams):
 
 
 def _assert_graph_matches(tree, adjacency, snapshot, context):
-    """The live graph == a from-scratch rebuild: nodes, edges, masks."""
+    """The live graph == a from-scratch rebuild: nodes, edges, attention edges."""
     assert snapshot.graph is not None, context
-    qrp, masks = snapshot.graph
+    qrp, edges = snapshot.graph
     expected = build_qrp_graph(tree, adjacency, snapshot.history)
     assert graphs_equal(qrp, expected), context
     if qrp.is_empty:
-        assert masks == {}, context
+        assert edges == {}, context
     else:
-        expected_masks = attention_masks(expected)
-        assert set(masks) == set(expected_masks), context
-        for kind, mask in expected_masks.items():
-            assert np.array_equal(masks[kind], mask), (context, kind)
+        expected_edges = attention_edges(expected)
+        assert set(edges) == set(expected_edges), context
+        for kind, index in expected_edges.items():
+            assert np.array_equal(edges[kind], index), (context, kind)
 
 
 def _fuzz_one_stream(tree, adjacency, seed, users=2, events_per_user=12):
@@ -249,7 +249,7 @@ class TestIncrementalAPI:
             assert graphs_equal(qrp, expected)
             for kind in EDGE_TYPES:
                 assert np.array_equal(
-                    state.masks[kind], attention_masks(expected)[kind]
+                    state.edges[kind], attention_edges(expected)[kind]
                 )
 
     def test_evict_matches_build_at_every_suffix(self, world):
@@ -294,18 +294,16 @@ class TestIncrementalAPI:
         with pytest.raises(StaleEvictionError):
             evict_qrp_graph(state, sessions[1])  # not the oldest
 
-    def test_attention_masks_match_per_edge_reference(self, world):
+    def test_attention_edges_match_per_edge_reference(self, world):
         tree, adjacency = world
         qrp = build_qrp_graph(tree, adjacency, _sessions([[1, 5, 9], [33, 1]]))
-        masks = attention_masks(qrp)
-        n = qrp.graph.num_nodes
+        edges = attention_edges(qrp)
         for kind in EDGE_TYPES:
-            reference = np.ones((n, n), dtype=bool)
-            for src, dst in qrp.graph.edges[kind]:
-                reference[dst, src] = False
-            assert np.array_equal(masks[kind], reference)
+            reference = sorted({(dst, src) for src, dst in qrp.graph.edges[kind]})
+            assert edges[kind].dtype == np.int64 and edges[kind].shape == (2, len(reference))
+            assert [tuple(column) for column in edges[kind].T.tolist()] == reference
         via_hgat = HGATEncoder.build_masks(qrp)
-        assert all(np.array_equal(masks[k], via_hgat[k]) for k in EDGE_TYPES)
+        assert all(np.array_equal(edges[k], via_hgat[k]) for k in EDGE_TYPES)
 
     def test_hgat_forward_identical_on_incremental_graph(self, world):
         """Attention-identity in the strongest sense: same HGAT output."""
@@ -318,7 +316,7 @@ class TestIncrementalAPI:
         rebuilt = build_qrp_graph(tree, adjacency, sessions)
         encoder = HGATEncoder(dim=8, num_layers=2, rng=spawn(3))
         h0 = Tensor(spawn(4).normal(size=(state.qrp.graph.num_nodes, 8)))
-        incremental = encoder(state.qrp, h0, masks=state.masks)
+        incremental = encoder(state.qrp, h0, edges=state.edges)
         full = encoder(rebuilt, h0)
         assert np.array_equal(incremental.data, full.data)
 
@@ -366,10 +364,10 @@ class TestStoreIntegration:
         assert result.session_rolled
         assert result.invalidated_key == stream_history_key(3, 0)
         assert result.history_key == stream_history_key(3, result.state_version)
-        qrp, masks = result.graph_entry
+        qrp, edges = result.graph_entry
         expected = build_qrp_graph(tree, adjacency, store.snapshot(3).history)
         assert graphs_equal(qrp, expected)
-        assert set(masks) == set(EDGE_TYPES)
+        assert set(edges) == set(EDGE_TYPES)
 
     def test_no_maintainer_means_no_entry(self):
         store = UserStateStore(StoreConfig(num_shards=1))
@@ -426,7 +424,7 @@ class TestRecoveryGraphIdentity:
 
 
 # ----------------------------------------------------------------------
-# serve path: packed block-diagonal HGAT == per-graph path
+# serve path: packed HGAT == per-graph path
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_dataset():
@@ -462,18 +460,20 @@ class TestPackedServeIdentity:
             assert got.ranked_pois == want.ranked_pois, sample.history_key
             assert got.ranked_tiles == want.ranked_tiles, sample.history_key
 
-    def test_pack_cap_overflow_falls_back_identically(
-        self, model, mixed_batch, monkeypatch
-    ):
-        """A tiny MAX_PACKED_NODES forces pack splits + solo overflow
-        graphs; ranked lists must not move."""
+    def test_one_pass_matches_one_pass_per_history(self, model, mixed_batch):
+        """Which histories share an HGAT pass must not move ranked lists:
+        the whole batch in one pass vs each history's samples alone."""
         shared = model.compute_embeddings()
         reference = model.predict_batch(mixed_batch, *shared)
-        monkeypatch.setattr(model_module, "MAX_PACKED_NODES", 8)
-        capped = model.predict_batch(mixed_batch, *shared)
-        for want, got in zip(reference, capped):
-            assert got.ranked_pois == want.ranked_pois
-            assert got.ranked_tiles == want.ranked_tiles
+        by_history = {}
+        for index, sample in enumerate(mixed_batch):
+            by_history.setdefault(sample.history_key, []).append(index)
+        assert len(by_history) > 1
+        for indices in by_history.values():
+            alone = model.predict_batch([mixed_batch[i] for i in indices], *shared)
+            for i, got in zip(indices, alone):
+                assert got.ranked_pois == reference[i].ranked_pois
+                assert got.ranked_tiles == reference[i].ranked_tiles
 
     def test_packed_identity_under_concurrent_server_load(
         self, model, tiny_dataset, mixed_batch

@@ -4,8 +4,8 @@ The contract under test: ``loss_batch`` computes the *same objective*
 as summing ``loss_sample`` over the mini-batch — same value at equal
 weights, parameter gradients equal to floating-point accumulation
 order, and (with dropout disabled, the one path-dependent RNG draw)
-bit-identical training trajectories through the full Trainer + Adam
-loop.
+training trajectories through the full Trainer + Adam loop that agree
+to rounding across the two paths and bit for bit across reruns.
 """
 
 import numpy as np
@@ -157,19 +157,22 @@ class TestGradientEquivalence:
         batch = [crafted] + _mixed_batch(splits)[:4]
         _grad_equivalence(model, batch, lambda: shared)
 
-    def test_packed_hgat_size_cap(self, tiny, monkeypatch):
-        """Splitting the block-diagonal HGAT packs must not change the
-        objective (large eval chunks hit this path)."""
-        import repro.core.model as model_module
-
+    def test_loss_independent_of_pack_composition(self, tiny):
+        """Which histories share an HGAT pass must not change the
+        objective: one pass over the batch vs one pass per history."""
         dataset, splits, _ = tiny
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(12))
         batch = _mixed_batch(splits)
         shared = model.compute_embeddings()
-        one_pack = model.loss_batch(batch, *shared).item()
-        monkeypatch.setattr(model_module, "MAX_PACKED_NODES", 1)  # one graph per pack
-        many_packs = model.loss_batch(batch, *shared).item()
-        assert many_packs == pytest.approx(one_pack, rel=1e-10)
+        one_pass = model.loss_batch(batch, *shared).item()
+        by_history = {}
+        for sample in batch:
+            by_history.setdefault(sample.history_key, []).append(sample)
+        assert len(by_history) > 1
+        per_history = sum(
+            model.loss_batch(group, *shared).item() for group in by_history.values()
+        )
+        assert per_history == pytest.approx(one_pass, rel=1e-10)
 
     def test_empty_batch_raises(self, tiny):
         dataset, _, locations = tiny
@@ -195,16 +198,20 @@ class TestTrainerDeterminism:
         return Trainer(model, config).fit(splits.train).epoch_losses
 
     def test_paths_bit_identical_and_deterministic(self, tiny):
-        """Same seed => bit-identical epoch_losses, within each path
-        (rerun) and *across* the batched / per-sample paths (dropout
-        disabled; both paths then compute identical losses and
-        gradients through the whole Adam trajectory)."""
+        """Same seed => bit-identical epoch_losses on a rerun of either
+        path (training is a pure function of seed and data), and
+        batched / per-sample epoch_losses equal to rounding (dropout
+        disabled).  The two paths sum in different orders, so their
+        gradients differ from the first step (about 1e-14 here) and
+        their losses may differ in the last bits; rel 1e-12 is far
+        tighter than the 1e-8 gradient tolerance of the equivalence
+        tests above."""
         dataset, splits, _ = tiny
         batched = self._losses(dataset, splits, use_batched=True)
         assert self._losses(dataset, splits, use_batched=True) == batched
         per_sample = self._losses(dataset, splits, use_batched=False)
         assert self._losses(dataset, splits, use_batched=False) == per_sample
-        assert batched == per_sample
+        assert batched == pytest.approx(per_sample, rel=1e-12, abs=0)
 
 
 class _CountingToy(Module):
