@@ -1,27 +1,21 @@
-"""Training throughput: per-sample vs batched loss path — BENCH_train.
+"""Training throughput of the batched loss path — BENCH_train.
 
-Seeds the BENCH trajectory for the differentiable batched training
-path.  Two legs through the same :class:`repro.train.Trainer` on the
-same data, seed and budget:
+One leg through :class:`repro.train.Trainer`: one padded, fully
+differentiable ``loss_batch`` forward/backward per mini-batch (batched
+fusion attention, packed edge-list HGAT, vectorised ArcFace heads).
+The model's caches (QR-P graphs, imagery columns) are warmed by one
+untimed epoch first, so the number reflects steady-state epochs rather
+than first-touch graph construction.
 
-* **per-sample** — ``use_batched=False``: ``loss_sample`` summed over
-  the mini-batch (the pre-PR-3 behaviour);
-* **batched** — ``use_batched=True``: one padded, fully differentiable
-  ``loss_batch`` forward/backward per mini-batch (batched fusion
-  attention, packed block-diagonal HGAT, vectorised ArcFace heads).
-
-Both legs warm the model's caches (QR-P graphs, imagery columns) with
-one untimed epoch first, so the numbers reflect steady-state epochs
-rather than first-touch graph construction, which is identical on both
-paths.  A loss-parity check asserts the two paths compute the same
-objective (in eval mode — under training, dropout draws its masks in
-path-dependent order, like cuDNN vs unbatched kernels in torch).
+A loss-parity check asserts that padding never reaches a real row:
+``loss_batch`` over one mini-batch equals the sum of the batch's
+batches of one (in eval mode — under training, dropout draws its masks
+in batch-shape-dependent order).
 
 Alongside the human-readable table the run emits
 ``benchmarks/results/BENCH_train.json`` — the machine-readable BENCH
-trajectory point (samples/sec per leg, batched/per-sample speedup,
-loss-parity residual).  Run standalone with
-``PYTHONPATH=src python benchmarks/bench_train_throughput.py``
+trajectory point (samples/sec, loss-parity residual).  Run standalone
+with ``PYTHONPATH=src python benchmarks/bench_train_throughput.py``
 (the CI workflow does exactly that and uploads the JSON artifact).
 """
 
@@ -42,45 +36,41 @@ TRAIN_SAMPLES = 160
 MEASURED_EPOCHS = 2
 
 
-def _train_config(profile, use_batched, epochs):
+def _train_config(profile, epochs):
     return TrainConfig(
         epochs=epochs,
         batch_size=BATCH_SIZE,
         lr=profile.lr,
         max_train_samples=TRAIN_SAMPLES,
         seed=0,
-        use_batched=use_batched,
     )
 
 
-def _measure_leg(data, profile, use_batched):
+def _measure(data, profile):
     """Samples/sec over MEASURED_EPOCHS steady-state epochs."""
     model = build_model("TSPN-RA", data, profile, seed=0)
-    Trainer(model, _train_config(profile, use_batched, epochs=1)).fit(
+    Trainer(model, _train_config(profile, epochs=1)).fit(
         data.splits.train
     )  # untimed warm-up epoch: builds QR-P graphs / imagery columns
-    trainer = Trainer(model, _train_config(profile, use_batched, MEASURED_EPOCHS))
+    trainer = Trainer(model, _train_config(profile, MEASURED_EPOCHS))
     start = time.perf_counter()
-    history = trainer.fit(data.splits.train)
-    elapsed = time.perf_counter() - start
-    return TRAIN_SAMPLES * MEASURED_EPOCHS / elapsed, history
+    trainer.fit(data.splits.train)
+    return TRAIN_SAMPLES * MEASURED_EPOCHS / (time.perf_counter() - start)
 
 
 def _loss_parity(data, profile):
-    """Max relative |loss_batch - sum(loss_sample)| over one batch.
+    """Relative |loss_batch(batch) - sum of its batches of one|.
 
-    Computed in eval mode: the objective is identical on both paths;
-    training-mode dropout would draw different masks per path.
+    Computed in eval mode: training-mode dropout would draw different
+    masks for different batch shapes.
     """
     model = build_model("TSPN-RA", data, profile, seed=0)
     model.eval()
     batch = data.splits.train[:BATCH_SIZE]
     shared = model.compute_embeddings()
-    per_sample = sum(
-        model.loss_sample(sample, *shared).item() for sample in batch
-    )
+    singles = sum(model.loss_batch([sample], *shared).item() for sample in batch)
     batched = model.loss_batch(batch, *model.compute_embeddings()).item()
-    return abs(batched - per_sample) / abs(per_sample)
+    return abs(batched - singles) / abs(singles)
 
 
 def run_bench(profile=None, save_report=None):
@@ -88,25 +78,17 @@ def run_bench(profile=None, save_report=None):
     data = prepare("nyc", profile, seed=0)
 
     parity = _loss_parity(data, profile)
-    per_sample_sps, _ = _measure_leg(data, profile, use_batched=False)
-    batched_sps, _ = _measure_leg(data, profile, use_batched=True)
-    report = {
-        "per_sample_sps": per_sample_sps,
-        "batched_sps": batched_sps,
-        "speedup": batched_sps / per_sample_sps,
-        "loss_parity_rel_diff": parity,
-    }
+    batched_sps = _measure(data, profile)
+    report = {"batched_sps": batched_sps, "loss_parity_rel_diff": parity}
 
     rows = [
-        ["per-sample samples/s", f"{per_sample_sps:10.2f}"],
         ["batched samples/s", f"{batched_sps:10.2f}"],
-        ["speedup", f"{report['speedup']:10.2f}"],
         ["loss parity rel diff", f"{parity:10.2e}"],
     ]
     table = format_table(
         ["Metric", "Value"],
         rows,
-        title=f"Training throughput — per-sample vs batched loss (NYC, batch {BATCH_SIZE})",
+        title=f"Training throughput — batched loss (NYC, batch {BATCH_SIZE})",
     )
     if save_report is not None:
         save_report("train_throughput", table)
@@ -129,7 +111,6 @@ def run_bench(profile=None, save_report=None):
     print(f"[BENCH trajectory point saved to {out}]")
 
     assert parity < 1e-9, report
-    assert report["speedup"] > 1.0, report
     return report
 
 

@@ -14,13 +14,14 @@ All baselines conform to the serve-wide
   the default loops ``score``; sequential baselines with a batchable
   trunk override it on top of ``SequenceEmbedder.forward_batch``;
 * ``loss_sample(sample)``: cross-entropy against the true next POI;
-* ``loss_batch(samples)``: *summed* cross-entropy over one mini-batch
-  — the default (inherited from ``PredictorBase``) sums
-  ``loss_sample``; baselines with a batchable trunk (GRU, HMT-GRN)
-  override it with one padded differentiable pass;
-* ``predict(sample, *shared) -> PredictorResult`` /
-  ``predict_batch(samples, *shared)``: full ranked POI list(s)
-  (shared state is empty for baselines and ignored);
+* ``loss_batch(samples)``: *summed* cross-entropy over one mini-batch,
+  the trainer's one loss call — the default (inherited from
+  ``PredictorBase``) sums ``loss_sample``; baselines with a batchable
+  trunk (GRU, HMT-GRN) override it with one padded differentiable
+  pass;
+* ``predict_batch(samples, *shared)``: full ranked POI lists, the one
+  inference implementation (``predict(sample)`` is a batch of one;
+  shared state is empty for baselines and ignored);
 * ``score_candidates(sample, ids, *shared)``: logits restricted to a
   candidate set.
 
@@ -73,18 +74,6 @@ class NextPOIBaseline(Module, PredictorBase):
     def loss_sample(self, sample: PredictionSample) -> Tensor:
         logits = self.score(sample)
         return cross_entropy(logits.reshape(1, -1), np.array([sample.target.poi_id]))
-
-    def predict(
-        self, sample: PredictionSample, *shared, k: Optional[int] = None
-    ) -> PredictorResult:
-        with no_grad():
-            logits = self.score(sample).data
-        order = np.argsort(-logits, kind="stable")
-        return PredictorResult(
-            ranked_pois=[int(i) for i in order],
-            target_poi=target_poi_of(sample),
-            num_pois=self.num_pois,
-        )
 
     def predict_batch(
         self, samples: Sequence[PredictionSample], *shared, k: Optional[int] = None

@@ -118,28 +118,14 @@ class HMTGRN(NextPOIBaseline):
         biased = poi_logits + np.where(in_beam, 1e6, 0.0)
         return [int(i) for i in np.argsort(-biased, kind="stable")]
 
-    def predict(self, sample: PredictionSample, *shared, k=None) -> BaselineResult:
-        """Hierarchical Beam Search: coarse -> fine -> POIs."""
-        with no_grad():
-            hidden = self._trunk(sample)
-            poi_logits = self.poi_head(hidden).data
-            coarse_logits = self.coarse_head(hidden).data
-            fine_logits = self.fine_head(hidden).data
-        return BaselineResult(
-            ranked_pois=self._beam_rank(poi_logits, coarse_logits, fine_logits),
-            target_poi=target_poi_of(sample),
-            num_pois=self.num_pois,
-        )
-
     def predict_batch(
         self, samples: Sequence[PredictionSample], *shared, k=None
     ) -> List[BaselineResult]:
-        """Batched trunk + heads; the (cheap) beam stays per sample.
+        """Hierarchical Beam Search: coarse -> fine -> POIs.
 
         The inherited ``score_batch`` ranking would drop the beam bias,
         so this override runs one padded GRU pass and three batched
-        head matmuls, then replays the exact per-sample beam on each
-        logit row.
+        head matmuls, then runs the (cheap) beam on each logit row.
         """
         if not samples:
             return []

@@ -62,16 +62,6 @@ class MarkovChain(PredictorBase):
     def scores(self, sample: PredictionSample) -> np.ndarray:
         return self.scores_batch([sample.prefix[-1].poi_id])[0]
 
-    def predict(
-        self, sample: PredictionSample, *shared, k: Optional[int] = None
-    ) -> PredictorResult:
-        order = np.argsort(-self.scores(sample), kind="stable")
-        return PredictorResult(
-            ranked_pois=[int(i) for i in order],
-            target_poi=target_poi_of(sample),
-            num_pois=self.num_pois,
-        )
-
     def predict_batch(
         self, samples: Sequence[PredictionSample], *shared, k: Optional[int] = None
     ) -> List[PredictorResult]:

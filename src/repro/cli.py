@@ -44,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train_parser.add_argument("--profile", default="quick", choices=("quick", "full"))
     train_parser.add_argument("--save", default=None, metavar="PATH",
                               help="write a reloadable checkpoint after training")
-    train_parser.add_argument("--trainer", default="batched",
-                              choices=("batched", "per-sample"),
-                              help="batched loss_batch path (default) or the "
-                                   "per-sample loss_sample loop")
 
     predict_parser = sub.add_parser(
         "predict", help="serve predictions from a trained model or checkpoint"
@@ -323,10 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         profile = get_profile(args.profile)
         data = prepare(args.preset, profile, seed=args.seed)
-        metrics, model = run_one(
-            "TSPN-RA", data, profile, seed=args.seed,
-            use_batched=(args.trainer == "batched"),
-        )
+        metrics, model = run_one("TSPN-RA", data, profile, seed=args.seed)
         for name, value in metrics.items():
             print(f"{name:12s} {value:.4f}")
         if args.save:

@@ -4,20 +4,17 @@ from .config import TSPNRAConfig
 from .encoders import SpatialEncoder, TemporalEncoder, spatial_encoding
 from .fusion import AttentionBlock, FusionModule
 from .hgat import HGATEncoder, HGATLayer
-from .loss import arcface_loss, combined_loss, cosine_scores
+from .loss import arcface_loss_batch
 from .model import PredictionResult, TSPNRA
 from .poi_embedding import POIEmbedder
 from .tile_embedding import ImageTileEmbedder, TableTileEmbedder
 from .tilesystem import GridTileSystem, QuadTreeTileSystem
 from .two_step import (
     candidate_pois,
-    cosine_similarities,
     cosine_similarities_batch,
     rank_by_cosine,
     rank_of_target,
-    rank_pois,
     rank_pois_batch,
-    rank_tiles,
     rank_tiles_batch,
     select_tiles,
 )
@@ -37,17 +34,12 @@ __all__ = [
     "TSPNRAConfig",
     "TableTileEmbedder",
     "TemporalEncoder",
-    "arcface_loss",
+    "arcface_loss_batch",
     "candidate_pois",
-    "combined_loss",
-    "cosine_scores",
-    "cosine_similarities",
     "cosine_similarities_batch",
     "rank_by_cosine",
     "rank_of_target",
-    "rank_pois",
     "rank_pois_batch",
-    "rank_tiles",
     "rank_tiles_batch",
     "select_tiles",
     "spatial_encoding",

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Tensor, gather_at, gather_last, where
+from ..autograd import Tensor, gather_at, where
 from ..nn import (
     Dropout,
     LayerNorm,
@@ -44,41 +44,6 @@ class AttentionBlock(Module):
         self.norm3 = LayerNorm(dim)
         self.drop = Dropout(dropout)
 
-    def forward(self, sequence: Tensor, history: Optional[Tensor]) -> Tensor:
-        length = sequence.shape[0]
-        mask = causal_mask(length)
-        attended = self.self_attention(sequence, sequence, sequence, mask=mask)
-        sequence = self.norm1(sequence + self.drop(attended))
-        if history is not None and history.shape[0] > 0:
-            crossed = self.cross_attention(sequence, history, history)
-            sequence = self.norm2(sequence + self.drop(crossed))
-        forwarded = self.feed_forward(sequence).relu()
-        return self.norm3(sequence + self.drop(forwarded))
-
-    def forward_batch(
-        self,
-        sequence: Tensor,
-        history: Optional[Tensor],
-        history_mask: Optional[np.ndarray],
-    ) -> Tensor:
-        """Padded-batch variant: ``sequence`` is ``(B, L, dim)``.
-
-        ``history`` is ``(B, H_max, dim)`` right-padded graph knowledge
-        (or None when no sample in the batch has any); ``history_mask``
-        is boolean ``(B, H_max)``, True at padded rows.  Right-padding
-        plus the causal mask keeps real positions bit-compatible with
-        the per-sample path: a real query can never attend to a padded
-        key, and samples whose history is entirely padding keep their
-        pre-cross-attention sequence exactly as ``forward`` would.
-        """
-        length = sequence.shape[1]
-        causal = causal_mask(length)[None, None, :, :]
-        if history is None:
-            return self.forward_batch_core(sequence, causal, None, None, None)
-        cross = np.asarray(history_mask, dtype=bool)[:, None, None, :]
-        has_history = (~history_mask.all(axis=1))[:, None, None]  # (B, 1, 1)
-        return self.forward_batch_core(sequence, causal, history, cross, has_history)
-
     def forward_batch_core(
         self,
         sequence: Tensor,
@@ -87,24 +52,22 @@ class AttentionBlock(Module):
         cross_mask: Optional[np.ndarray],
         has_history: Optional[np.ndarray],
     ) -> Tensor:
-        """Trace-friendly block body: every mask arrives pre-broadcast.
+        """The block body over a padded batch; every mask arrives pre-broadcast.
 
-        ``causal`` is ``(1, 1, L, L)``; ``cross_mask`` is
-        ``(B, 1, 1, H)`` (True at padded knowledge rows); ``has_history``
-        is ``(B, 1, 1)``.  No batch-dependent array is *derived* in
-        here — they are all explicit arguments — so a captured plan
-        links each one back to a feed.  Values are bit-identical to the
-        pre-refactor inline math: masks broadcast to the same
-        elementwise booleans.
+        ``sequence`` is ``(B, L, dim)``; ``causal`` is ``(1, 1, L, L)``.
+        ``history`` is ``(B, H, dim)`` right-padded graph knowledge, or
+        None when no sample in the batch has any; ``cross_mask`` is
+        ``(B, 1, 1, H)`` (True at padded knowledge rows) and
+        ``has_history`` is ``(B, 1, 1)``.  No batch-dependent array is
+        *derived* in here — they are all explicit arguments — so a
+        captured plan links each one back to a feed.  A real query never
+        attends to a padded key, and a sample whose history is entirely
+        padding keeps its pre-cross-attention sequence.
         """
-        attended = self.self_attention.forward_prepared(
-            sequence, sequence, sequence, causal
-        )
+        attended = self.self_attention(sequence, sequence, sequence, causal)
         sequence = self.norm1(sequence + self.drop(attended))
         if history is not None:
-            crossed = self.cross_attention.forward_prepared(
-                sequence, history, history, cross_mask
-            )
+            crossed = self.cross_attention(sequence, history, history, cross_mask)
             updated = self.norm2(sequence + self.drop(crossed))
             sequence = where(has_history, updated, sequence)
         forwarded = self.feed_forward(sequence).relu()
@@ -123,17 +86,6 @@ class FusionModule(Module):
             [AttentionBlock(dim, num_heads, dropout=dropout, rng=rng) for _ in range(num_layers)]
         )
 
-    def forward(self, sequence: Tensor, history: Optional[Tensor]) -> Tensor:
-        """``sequence``: (L, dim); ``history``: (H, dim) or None.
-
-        Returns h_out, shape ``(dim,)`` — the representation used for
-        candidate ranking.
-        """
-        out = sequence
-        for block in self.blocks:
-            out = block(out, history)
-        return out[out.shape[0] - 1]
-
     def forward_batch(
         self,
         sequence: Tensor,
@@ -145,15 +97,26 @@ class FusionModule(Module):
 
         ``lengths`` gives each sample's real prefix length; the output
         row for sample b is position ``lengths[b] - 1`` of the final
-        sequence — the same "last position" rule as :meth:`forward`.
-        Fully differentiable: under gradient tracking the gather
+        sequence (h_out, the representation used for candidate
+        ranking).  ``history`` is ``(B, H_max, dim)`` right-padded graph
+        knowledge (or None when no sample has any) and ``history_mask``
+        its boolean ``(B, H_max)`` padding mask, True at padded rows.
+        Builds the causal mask, the cross mask and the has-history flags
+        once for all blocks, then runs :meth:`forward_batch_core`.
+        Fully differentiable: under gradient tracking the final gather
         scatters upstream gradients back to each sample's last real
-        position, so the batched training loss flows through here.
+        position, so the training loss flows through here.
         """
-        out = sequence
-        for block in self.blocks:
-            out = block.forward_batch(out, history, history_mask)
-        return gather_last(out, lengths)
+        causal = causal_mask(sequence.shape[1])[None, None, :, :]
+        positions = np.asarray(lengths, dtype=np.int64) - 1
+        if history is None:
+            return self.forward_batch_core(sequence, positions, causal)
+        history_mask = np.asarray(history_mask, dtype=bool)
+        cross = history_mask[:, None, None, :]
+        has_history = (~history_mask.all(axis=1))[:, None, None]  # (B, 1, 1)
+        return self.forward_batch_core(
+            sequence, positions, causal, history, cross, has_history
+        )
 
     def forward_batch_core(
         self,
@@ -166,11 +129,10 @@ class FusionModule(Module):
     ) -> Tensor:
         """Trace-friendly fusion: pre-broadcast masks, explicit gather.
 
-        Mirrors :meth:`forward_batch` exactly (same blocks, same
-        values) but takes ``positions`` (= ``lengths - 1``) and the
-        pre-shaped masks of :meth:`AttentionBlock.forward_batch_core`
-        directly, so the whole stage is a pure function of its array
-        arguments — the property plan capture needs.
+        Takes ``positions`` (= ``lengths - 1``) and the pre-shaped masks
+        of :meth:`AttentionBlock.forward_batch_core` directly, so the
+        whole stage is a pure function of its array arguments — the
+        property plan capture needs.
         """
         out = sequence
         for block in self.blocks:

@@ -112,7 +112,7 @@ class HGATEncoder(Module):
         every edge inside its graph and the destinations sorted, so
         each row's value is that of running the graph alone (up to
         matmul rounding, which depends on the row count) — for
-        training, per-sample and batched inference alike.
+        training and inference alike.
 
         Callers must not pack edge-free graphs: alone, a graph without
         edges is the identity, while inside a pack with edges its rows

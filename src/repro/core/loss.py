@@ -7,7 +7,8 @@ Both prediction steps use
 
 where theta_c is the angle between the fused output vector and
 candidate c's embedding.  The margin m pushes the output toward the
-target embedding while pushing other candidates away.
+target embedding while pushing other candidates away.  The loss is
+computed for a whole batch at once; one sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,42 +20,6 @@ import numpy as np
 from ..autograd import Tensor, l2_normalize, log_softmax, masked_fill
 
 NEG_INF = -1e9
-
-
-def cosine_scores(output: Tensor, candidates: Tensor) -> Tensor:
-    """cos(theta) between one output vector and each candidate row."""
-    normed_out = l2_normalize(output.reshape(1, -1), axis=-1)
-    normed_cand = l2_normalize(candidates, axis=-1)
-    return (normed_cand @ normed_out.reshape(-1, 1)).reshape(-1)
-
-
-def arcface_loss(
-    output: Tensor,
-    candidates: Tensor,
-    target_index: int,
-    scale: float = 16.0,
-    margin: float = 0.2,
-) -> Tensor:
-    """Eq. 8 for one sample.
-
-    ``candidates`` has shape ``(C, dim)`` and must include the target
-    row at ``target_index``.
-    """
-    n = candidates.shape[0]
-    if not 0 <= target_index < n:
-        raise IndexError("target_index outside candidate set")
-    cos = cosine_scores(output, candidates)  # (C,)
-    cos = cos.clip(-1.0 + 1e-7, 1.0 - 1e-7)
-    target_cos = cos[target_index]
-    # cos(theta + m) = cos theta cos m - sin theta sin m
-    sin_target = (1.0 - target_cos * target_cos).sqrt()
-    margined = target_cos * float(np.cos(margin)) - sin_target * float(np.sin(margin))
-    one_hot = np.zeros(n)
-    one_hot[target_index] = 1.0
-    hot = Tensor(one_hot)
-    logits = (cos * (1.0 - hot) + margined * hot) * scale
-    log_probs = log_softmax(logits.reshape(1, -1), axis=-1)
-    return -log_probs[0, target_index]
 
 
 def arcface_loss_batch(
@@ -78,9 +43,10 @@ def arcface_loss_batch(
     attention keys — they contribute an exact zero to the softmax and
     receive no gradient.
 
-    Matches summing :func:`arcface_loss` over the batch up to
-    floating-point accumulation order (BLAS kernels for the batched
-    matmul shapes group sums differently than the per-sample ones).
+    Each row's loss is that of the sample's batch of one up to
+    floating-point accumulation order (BLAS kernels for different
+    batch shapes group sums differently).  Eq. 8's total is
+    ``beta * tile_loss + poi_loss``, weighted by the caller.
     """
     batch = outputs.shape[0]
     target_positions = np.asarray(target_positions, dtype=np.int64)
@@ -108,8 +74,3 @@ def arcface_loss_batch(
         logits = masked_fill(logits, ~np.asarray(valid, dtype=bool), NEG_INF)
     log_probs = log_softmax(logits, axis=-1)
     return -log_probs[rows, target_positions]
-
-
-def combined_loss(tile_loss: Tensor, poi_loss: Tensor, beta: float = 1.0) -> Tensor:
-    """Total objective: beta * loss_tau + loss_p."""
-    return tile_loss * beta + poi_loss

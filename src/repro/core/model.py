@@ -1,7 +1,7 @@
 """TSPN-RA: Two-Step Prediction Network with Remote sensing Augmentation.
 
-The top-level model (paper Fig. 5).  A forward pass for one prediction
-sample runs:
+The top-level model (paper Fig. 5).  A forward pass over a batch of
+prediction samples (one sample is a batch of one) runs:
 
 1. **Data extraction** — prefix POI / tile sequences plus the QR-P
    graph of the user's history (built by the tile system and cached per
@@ -37,16 +37,14 @@ from .config import TSPNRAConfig
 from .encoders import SpatialEncoder, TemporalEncoder, spatial_encoding, time_slots
 from .fusion import FusionModule
 from .hgat import HGATEncoder
-from .loss import arcface_loss, arcface_loss_batch, combined_loss
+from .loss import arcface_loss_batch
 from .poi_embedding import POIEmbedder
 from .tile_embedding import ImageTileEmbedder, TableTileEmbedder
 from .two_step import (
     candidate_pois,
-    cosine_similarities,
+    cosine_similarities_batch,
     normalize_rows,
-    rank_pois,
     rank_pois_batch,
-    rank_tiles,
     rank_tiles_batch,
     select_tiles,
 )
@@ -244,32 +242,6 @@ class TSPNRA(Module, PredictorBase):
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
-    def encode(
-        self, sample: PredictionSample, tile_embeddings: Tensor, poi_embeddings: Tensor
-    ) -> Tuple[Tensor, Tensor]:
-        """Fused output vectors (h_out_tau, h_out_p) for one sample."""
-        prefix_ids = np.asarray(sample.prefix_poi_ids, dtype=np.int64)
-        timestamps = [v.timestamp for v in sample.prefix]
-        tile_ids = np.asarray(
-            [self.tile_system.leaf_of_poi(int(p)) for p in prefix_ids], dtype=np.int64
-        )
-
-        tile_sequence = tile_embeddings[tile_ids]
-        poi_sequence = poi_embeddings[prefix_ids]
-        if self.config.use_st_encoder:
-            locations = self.normalized_xy[prefix_ids]
-            tile_sequence = self.spatial_encoder(tile_sequence, locations)
-            tile_sequence = self.tile_temporal(tile_sequence, timestamps)
-            poi_sequence = self.poi_temporal(poi_sequence, timestamps)
-
-        history_tiles, history_pois = self._history_knowledge(
-            sample, tile_embeddings, poi_embeddings
-        )
-
-        tile_output = self.fusion_tile(tile_sequence, history_tiles)
-        poi_output = self.fusion_poi(poi_sequence, history_pois)
-        return tile_output, poi_output
-
     def _poi_leaf_table(self) -> np.ndarray:
         if self._poi_leaf is None:
             self._poi_leaf = np.asarray(
@@ -277,24 +249,6 @@ class TSPNRA(Module, PredictorBase):
                 dtype=np.int64,
             )
         return self._poi_leaf
-
-    def _history_knowledge(self, sample: PredictionSample, tile_embeddings, poi_embeddings):
-        """HGAT knowledge rows for one sample: (tiles, pois) or (None, None)."""
-        if not (self.config.use_graph and sample.history):
-            return None, None
-        qrp, edges = self._qrp_for(sample)
-        if qrp.is_empty:
-            return None, None
-        initial = concat(
-            [
-                tile_embeddings[np.asarray(qrp.tile_refs, dtype=np.int64)],
-                poi_embeddings[np.asarray(qrp.poi_refs, dtype=np.int64)],
-            ],
-            axis=0,
-        )
-        knowledge = self.hgat(qrp, initial, edges=edges)
-        n_tiles = len(qrp.tile_refs)
-        return knowledge[0:n_tiles], knowledge[n_tiles:]
 
     def _history_knowledge_batch(
         self,
@@ -328,8 +282,8 @@ class TSPNRA(Module, PredictorBase):
                 knowledge[key] = (None, None)
             elif not any(qrp.graph.edges[kind] for kind in qrp.graph.edges):
                 # Edge-free graph (possible under the drop_edge_type
-                # ablations): the per-sample HGAT short-circuits to the
-                # identity, so knowledge is just the initial
+                # ablations): an HGAT pass over a graph without edges
+                # is the identity, so knowledge is just the initial
                 # embeddings.  Packing it instead would zero its rows
                 # (the packed layer sums messages for every row).
                 knowledge[key] = (
@@ -392,20 +346,19 @@ class TSPNRA(Module, PredictorBase):
     ) -> Tuple[Tensor, Tensor]:
         """Fused (h_out_tau, h_out_p) for a whole batch: ``(B, dim)`` each.
 
-        The vectorised path shared by inference *and* training:
-        prefixes are right-padded to the batch maximum and run through
-        the spatial/temporal encoders and both fusion stacks as one
-        ``(batch, seq, dim)`` tensor (causal masking keeps padded
-        positions out of every real position's receptive field).  QR-P
-        graph knowledge is still computed per *unique* history —
-        graphs are heterogeneous and shared by every sample of a
-        trajectory — in one packed edge-list pass, then right-padded
-        on the autograd graph
+        The one encode, shared by inference *and* training (a single
+        sample is a batch of one): prefixes are right-padded to the
+        batch maximum and run through the spatial/temporal encoders and
+        both fusion stacks as one ``(batch, seq, dim)`` tensor (causal
+        masking keeps padded positions out of every real position's
+        receptive field).  QR-P graph knowledge is computed per
+        *unique* history — graphs are heterogeneous and shared by every
+        sample of a trajectory — in one packed edge-list pass, then
+        right-padded on the autograd graph
         (:func:`repro.autograd.pad_stack`) and masked for the batched
         cross attention.  Under gradient tracking every op here is
         differentiable, so :meth:`loss_batch` backpropagates one
-        padded mini-batch through the whole encode; under ``no_grad``
-        it behaves exactly like the PR 2 inference path.
+        padded mini-batch through the whole encode.
         """
         batch = len(samples)
         lengths = np.asarray([len(s.prefix) for s in samples], dtype=np.int64)
@@ -460,11 +413,10 @@ class TSPNRA(Module, PredictorBase):
     ) -> List[int]:
         """Step-two candidate POIs for one training sample.
 
-        Shared by :meth:`loss_sample` and :meth:`loss_batch` so the two
-        paths can never drift apart — they must select identical
-        candidate sets (and, on the no-two-step path, consume
-        ``_negative_rng`` in the same per-sample order) for the
-        batched/per-sample gradient equivalence to hold.
+        Called row by row in batch order, so a sample selects the same
+        candidate set (and, on the no-two-step path, consumes
+        ``_negative_rng`` in the same order) whether it trains inside a
+        mini-batch or as a batch of one.
         """
         if self.config.use_two_step:
             top = select_tiles(
@@ -481,38 +433,6 @@ class TSPNRA(Module, PredictorBase):
         )
         return [target_poi] + [int(n) for n in negatives if n != target_poi]
 
-    def loss_sample(
-        self, sample: PredictionSample, tile_embeddings: Tensor, poi_embeddings: Tensor
-    ) -> Tensor:
-        """Eq. 8 combined loss for one sample."""
-        tile_output, poi_output = self.encode(sample, tile_embeddings, poi_embeddings)
-        config = self.config
-        target_poi = sample.target.poi_id
-        target_leaf = self.tile_system.leaf_of_poi(target_poi)
-
-        leaf_embeddings = tile_embeddings[self._leaf_array]
-        tile_loss = arcface_loss(
-            tile_output,
-            leaf_embeddings,
-            self._leaf_index[target_leaf],
-            scale=config.loss_scale,
-            margin=config.loss_margin,
-        )
-
-        candidates = self._training_candidates(
-            target_poi, tile_output.data, leaf_embeddings.data
-        )
-        candidate_array = np.asarray(candidates, dtype=np.int64)
-        target_position = int(np.nonzero(candidate_array == target_poi)[0][0])
-        poi_loss = arcface_loss(
-            poi_output,
-            poi_embeddings[candidate_array],
-            target_position,
-            scale=config.loss_scale,
-            margin=config.loss_margin,
-        )
-        return combined_loss(tile_loss, poi_loss, beta=config.beta)
-
     def loss_batch(
         self,
         samples: Sequence[PredictionSample],
@@ -526,10 +446,10 @@ class TSPNRA(Module, PredictorBase):
         pad/mask/gather ops), then both ArcFace heads vectorised over
         the batch — the tile head against the shared leaf table, the
         POI head against right-padded per-sample candidate sets with
-        invalid slots masked out of the softmax.  Returns
-        ``sum_i loss_sample(samples[i])`` up to floating-point
-        accumulation order; the trainer divides by the batch size,
-        exactly as it does on the per-sample path.
+        invalid slots masked out of the softmax.  Returns the *sum* of
+        the per-sample losses — ``sum_i loss_batch([samples[i]])`` up to
+        floating-point accumulation order; the trainer divides by the
+        batch size.
         """
         if not samples:
             raise ValueError("loss_batch needs a non-empty batch")
@@ -553,8 +473,8 @@ class TSPNRA(Module, PredictorBase):
             margin=config.loss_margin,
         )
 
-        # Candidate sets are data extraction (no gradients) and must
-        # mirror the per-sample path exactly, sample by sample.
+        # Candidate sets are data extraction (no gradients), selected
+        # sample by sample.
         candidate_lists = [
             self._training_candidates(
                 int(target_pois[i]), tile_outputs.data[i], leaf_embeddings.data
@@ -585,41 +505,6 @@ class TSPNRA(Module, PredictorBase):
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def predict(
-        self,
-        sample: PredictionSample,
-        tile_embeddings: Optional[Tensor] = None,
-        poi_embeddings: Optional[Tensor] = None,
-        k: Optional[int] = None,
-    ) -> PredictorResult:
-        """Rank tiles then POIs for one sample (no gradients)."""
-        k = k if k is not None else self.config.top_k
-        with no_grad():
-            if tile_embeddings is None or poi_embeddings is None:
-                tile_embeddings, poi_embeddings = self.compute_embeddings()
-            tile_output, poi_output = self.encode(sample, tile_embeddings, poi_embeddings)
-            leaf_embeddings = tile_embeddings.data[self._leaf_array]
-            ranked_tiles = rank_tiles(tile_output.data, leaf_embeddings, self._leaf_ids)
-            if self.config.use_two_step:
-                candidates = candidate_pois(self.tile_system, ranked_tiles[:k])
-            else:
-                candidates = list(range(self.num_pois))
-            candidate_array = np.asarray(candidates, dtype=np.int64)
-            ranked_pois = rank_pois(
-                poi_output.data,
-                poi_embeddings.data[candidate_array] if len(candidates) else np.zeros((0, self.config.dim)),
-                candidates,
-            )
-        target_poi = target_poi_of(sample)
-        target_tile = self.tile_system.leaf_of_poi(target_poi) if target_poi >= 0 else -1
-        return PredictorResult(
-            ranked_pois=ranked_pois,
-            target_poi=target_poi,
-            ranked_tiles=ranked_tiles,
-            target_tile=target_tile,
-            num_pois=self.num_pois,
-        )
-
     def predict_batch(
         self,
         samples: Sequence[PredictionSample],
@@ -627,12 +512,13 @@ class TSPNRA(Module, PredictorBase):
         poi_embeddings: Optional[Tensor] = None,
         k: Optional[int] = None,
     ) -> List[PredictorResult]:
-        """Vectorised :meth:`predict` over a batch (no gradients).
+        """Rank tiles then POIs for a batch (no gradients).
 
-        One padded-batch encode (:meth:`encode_batch`), one matmul over
-        the leaf-embedding table for step one and one over the full POI
-        table for step two — ranked lists are identical to mapping
-        :meth:`predict` over the batch.
+        The one inference implementation (``predict`` is a batch of
+        one): one padded-batch encode (:meth:`encode_batch`), one matmul
+        over the leaf-embedding table for step one and one over the full
+        POI table for step two.  Padding never reaches a real row, so
+        each sample's ranked lists equal those of its batch of one.
         """
         if not samples:
             return []
@@ -1039,9 +925,11 @@ class TSPNRA(Module, PredictorBase):
         """Cosine scores of h_out_p against the given candidate POIs."""
         with no_grad():
             tile_embeddings, poi_embeddings = shared if shared else self.compute_embeddings()
-            _, poi_output = self.encode(sample, tile_embeddings, poi_embeddings)
+            _, poi_output = self.encode_batch([sample], tile_embeddings, poi_embeddings)
             candidate_array = np.asarray(candidate_ids, dtype=np.int64)
-            return cosine_similarities(poi_output.data, poi_embeddings.data[candidate_array])
+            return cosine_similarities_batch(
+                poi_output.data, poi_embeddings.data[candidate_array]
+            )[0]
 
     def clear_graph_cache(self) -> None:
         self._graph_cache.clear()

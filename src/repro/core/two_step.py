@@ -4,10 +4,11 @@ Step one ranks all leaf tiles by cosine similarity to the fused tile
 vector h_out_tau; step two restricts POI candidates to the top-K tiles
 and ranks them by cosine similarity to h_out_p.
 
-The ``*_batch`` variants score a whole batch of fused output vectors
-against the leaf/POI embedding tables with a single matmul — the
-vectorised inference path — and then read each sample's ranking off
-its own score row, so they produce exactly the per-sample orderings.
+Inference ranks a whole batch of fused output vectors against the
+leaf/POI embedding tables with a single matmul and reads each sample's
+ranking off its own score row (:func:`rank_tiles_batch`,
+:func:`rank_pois_batch`).  Training selects one sample's top-K tiles
+at a time (:func:`select_tiles`).
 """
 
 from __future__ import annotations
@@ -30,16 +31,10 @@ def normalize_rows(candidates: np.ndarray) -> np.ndarray:
     return candidates / (np.linalg.norm(candidates, axis=1, keepdims=True) + 1e-12)
 
 
-def cosine_similarities(output: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """cos(theta) between one output vector and each candidate row."""
-    out_norm = output / (np.linalg.norm(output) + 1e-12)
-    cand_norm = normalize_rows(candidates)
-    return cand_norm @ out_norm
-
-
 def rank_by_cosine(output: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Indices of ``candidates`` rows sorted by descending cosine sim."""
-    return np.argsort(-cosine_similarities(output, candidates), kind="stable")
+    out_norm = output / (np.linalg.norm(output) + 1e-12)
+    return np.argsort(-(normalize_rows(candidates) @ out_norm), kind="stable")
 
 
 def select_tiles(
@@ -53,16 +48,6 @@ def select_tiles(
     return [leaf_ids[i] for i in order[:k]]
 
 
-def rank_tiles(
-    tile_output: np.ndarray,
-    leaf_embeddings: np.ndarray,
-    leaf_ids: Sequence[int],
-) -> List[int]:
-    """The full ranked tile list R_T."""
-    order = rank_by_cosine(tile_output, leaf_embeddings)
-    return [leaf_ids[i] for i in order]
-
-
 def candidate_pois(tile_system, top_tiles: Sequence[int]) -> List[int]:
     """POIs located inside the top-K tiles (step-two candidate set)."""
     pois: List[int] = []
@@ -71,20 +56,8 @@ def candidate_pois(tile_system, top_tiles: Sequence[int]) -> List[int]:
     return pois
 
 
-def rank_pois(
-    poi_output: np.ndarray,
-    poi_embeddings: np.ndarray,
-    candidate_ids: Sequence[int],
-) -> List[int]:
-    """Step two: the ranked POI list R_P over the candidate set."""
-    if len(candidate_ids) == 0:
-        return []
-    order = rank_by_cosine(poi_output, poi_embeddings)
-    return [candidate_ids[i] for i in order]
-
-
 # ----------------------------------------------------------------------
-# batched variants (vectorised inference path)
+# batched ranking (the inference path)
 # ----------------------------------------------------------------------
 def cosine_similarities_batch(
     outputs: np.ndarray,
@@ -131,9 +104,9 @@ def rank_pois_batch(
 
     One ``(batch, num_pois)`` matmul scores every output against the
     full POI table; each sample's ranking is then its candidate list
-    stably re-ordered by its score row — identical to calling
-    :func:`rank_pois` on the candidate subset, because cosine scores
-    are row-independent.
+    stably re-ordered by its score row: ``argsort(-scores[candidates],
+    kind="stable")`` per row, because cosine scores are
+    row-independent.
     """
     scores = cosine_similarities_batch(
         poi_outputs, poi_embeddings, candidates_normalized=candidates_normalized

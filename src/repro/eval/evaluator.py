@@ -24,24 +24,19 @@ EVAL_BATCH_SIZE = 128
 def _collect(model, samples: Sequence[PredictionSample], rank_attr: str) -> List[int]:
     """Shared loop: ``rank_attr`` per sample via the batched encode.
 
-    Restores the model's prior train/eval mode on exit instead of
-    unconditionally flipping it back to training.
+    Runs under ``no_grad``, where dropout is the identity, so the
+    model's train/eval mode neither matters nor changes.
     """
-    was_training = getattr(model, "training", False)
-    model.eval()
-    try:
-        with no_grad():
-            shared = model.compute_embeddings()
-            ranks: List[int] = []
-            for lo in range(0, len(samples), EVAL_BATCH_SIZE):
-                batch = samples[lo : lo + EVAL_BATCH_SIZE]
-                ranks.extend(
-                    getattr(result, rank_attr)
-                    for result in model.predict_batch(batch, *shared)
-                )
-            return ranks
-    finally:
-        model.train(was_training)
+    with no_grad():
+        shared = model.compute_embeddings()
+        ranks: List[int] = []
+        for lo in range(0, len(samples), EVAL_BATCH_SIZE):
+            batch = samples[lo : lo + EVAL_BATCH_SIZE]
+            ranks.extend(
+                getattr(result, rank_attr)
+                for result in model.predict_batch(batch, *shared)
+            )
+        return ranks
 
 
 def collect_ranks(model, samples: Sequence[PredictionSample]) -> List[int]:

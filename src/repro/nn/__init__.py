@@ -1,6 +1,6 @@
 """Neural-network layers built on the repro autograd engine."""
 
-from .attention import MultiHeadAttention, SelfAttention, causal_mask, key_padding_mask
+from .attention import MultiHeadAttention, causal_mask, key_padding_mask
 from .layers import (
     Conv2d,
     Dropout,
@@ -34,7 +34,6 @@ __all__ = [
     "MultiHeadAttention",
     "Parameter",
     "ReLU",
-    "SelfAttention",
     "Sequential",
     "Sigmoid",
     "Tanh",

@@ -1,20 +1,15 @@
 """Multi-head scaled dot-product attention.
 
-Used by the TSPN-RA fusion modules (masked self-attention and cross
-attention onto historical graph knowledge, paper Sec. V-A) and by the
-attention-based baselines (DeepMove, STAN, STiSAN, SAE-NAD).
+Used by the TSPN-RA fusion modules: masked self-attention over the
+check-in prefix and cross attention onto historical graph knowledge
+(paper Sec. V-A).
 
-Sequences come in two shapes:
-
-* unbatched ``(length, dim)`` — the per-sample research loop (and the
-  trainer's ``use_batched=False`` escape hatch);
-* batched ``(batch, length, dim)`` — the vectorised path shared by
-  inference and the batched training loss: prefixes are padded to a
-  common length and the padding masked (the MobTCast-style
-  padded-batch formulation).  :func:`key_padding_mask` builds the
-  standard right-padding mask from per-sample lengths; every op is
-  differentiable, so gradients flow around (never through) the masked
-  positions.
+Inputs are always batched, ``(batch, length, dim)``: prefixes are
+right-padded to a common length and the padding masked (the
+MobTCast-style padded-batch formulation).  One sample is a batch of
+one.  :func:`causal_mask` and :func:`key_padding_mask` build the two
+masks; every op is differentiable, so gradients flow around (never
+through) the masked positions.
 """
 
 from __future__ import annotations
@@ -53,12 +48,8 @@ def key_padding_mask(lengths: Sequence[int], max_length: int) -> np.ndarray:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``num_heads`` heads.
 
-    Unbatched: ``query`` ``(L_q, dim)``; ``key``/``value`` ``(L_k, dim)``;
-    ``mask`` boolean ``(L_q, L_k)``, True = blocked.
-
-    Batched: ``query`` ``(B, L_q, dim)``; ``key``/``value``
-    ``(B, L_k, dim)``; ``mask`` broadcastable ``(L_q, L_k)`` or
-    per-sample ``(B, L_q, L_k)``.  A fully masked row yields a uniform
+    ``query`` is ``(B, L_q, dim)``; ``key``/``value`` are
+    ``(B, L_k, dim)``.  A fully masked row yields a uniform
     distribution over blocked positions — callers discard those rows
     (padded queries) or select away the output (absent history).
     """
@@ -76,10 +67,6 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(dim, dim, rng=rng)
         self.w_o = Linear(dim, dim, rng=rng)
 
-    def _split(self, x: Tensor, length: int) -> Tensor:
-        # (L, dim) -> (heads, L, head_dim)
-        return x.reshape(length, self.num_heads, self.head_dim).transpose(1, 0, 2)
-
     def _split_batch(self, x: Tensor, batch: int, length: int) -> Tensor:
         # (B, L, dim) -> (B, heads, L, head_dim)
         return x.reshape(batch, length, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -91,53 +78,13 @@ class MultiHeadAttention(Module):
         value: Tensor,
         mask: Optional[np.ndarray] = None,
     ) -> Tensor:
-        if query.ndim == 3:
-            return self._forward_batch(query, key, value, mask=mask)
-        l_q, l_k = query.shape[0], key.shape[0]
-        q = self._split(self.w_q(query), l_q)
-        k = self._split(self.w_k(key), l_k)
-        v = self._split(self.w_v(value), l_k)
+        """Attention with a pre-broadcast 4-D boolean ``mask`` (True = blocked).
 
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = masked_fill(scores, mask[None, :, :], NEG_INF)
-        weights = softmax(scores, axis=-1)
-        attended = weights @ v  # (heads, L_q, head_dim)
-        merged = attended.transpose(1, 0, 2).reshape(l_q, self.dim)
-        return self.w_o(merged)
-
-    def _forward_batch(
-        self,
-        query: Tensor,
-        key: Tensor,
-        value: Tensor,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.ndim == 2:  # shared (L_q, L_k), e.g. a causal mask
-                mask = mask[None, None, :, :]
-            elif mask.ndim == 3:  # per-sample (B, L_q, L_k)
-                mask = mask[:, None, :, :]
-        return self.forward_prepared(query, key, value, mask)
-
-    def forward_prepared(
-        self,
-        query: Tensor,
-        key: Tensor,
-        value: Tensor,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Batched attention with a pre-broadcast 4-D mask.
-
-        ``mask`` must already be boolean and broadcastable to
-        ``(B, heads, L_q, L_k)`` — e.g. ``(1, 1, L, L)`` causal or
-        ``(B, 1, 1, L_k)`` key-padding.  This is the trace-friendly
-        entry point: all mask shaping happens in the caller's feed-prep
-        stage, so a captured plan links the mask straight back to its
-        feed instead of baking a batch-specific broadcast.  Values are
-        identical to :meth:`forward` on batched input — broadcasting a
-        mask early or late changes nothing elementwise.
+        ``mask`` must broadcast to ``(B, heads, L_q, L_k)`` — e.g.
+        ``causal_mask(L)[None, None]`` or a key-padding mask as
+        ``(B, 1, 1, L_k)``.  All mask shaping happens in the caller, so
+        a captured plan links the mask straight back to its feed
+        instead of baking a batch-specific broadcast.
         """
         batch, l_q = query.shape[0], query.shape[1]
         l_k = key.shape[1]
@@ -152,17 +99,3 @@ class MultiHeadAttention(Module):
         attended = weights @ v  # (B, heads, L_q, head_dim)
         merged = attended.transpose(0, 2, 1, 3).reshape(batch, l_q, self.dim)
         return self.w_o(merged)
-
-
-class SelfAttention(MultiHeadAttention):
-    """Self-attention convenience wrapper (optionally causal)."""
-
-    def __init__(self, dim: int, num_heads: int = 4, causal: bool = False, rng=None):
-        super().__init__(dim, num_heads=num_heads, rng=rng)
-        self.causal = causal
-
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-        if self.causal:
-            auto = causal_mask(x.shape[-2])
-            mask = auto if mask is None else (auto | mask)
-        return super().forward(x, x, x, mask=mask)

@@ -6,7 +6,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, conv2d, dropout as dropout_fn, get_default_dtype
+from ..autograd import (
+    Tensor,
+    conv2d,
+    dropout as dropout_fn,
+    get_default_dtype,
+    is_grad_enabled,
+)
 from ..utils.rng import default_rng
 from . import init
 from .module import Module, Parameter
@@ -98,7 +104,15 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout tied to the module train/eval flag."""
+    """Inverted dropout, active only in training mode with gradients on.
+
+    Under ``no_grad`` it is the identity whatever the train/eval flag,
+    so inference never depends on the caller's mode and never draws
+    from the generator.  Grad mode is thread-local, so one thread's
+    inference cannot switch dropout off for another thread's training
+    step, and serving replicas can share sub-modules without toggling
+    their flags.
+    """
 
     def __init__(self, rate: float = 0.1, rng=None):
         super().__init__()
@@ -106,7 +120,8 @@ class Dropout(Module):
         self._rng = rng or default_rng()
 
     def forward(self, x: Tensor) -> Tensor:
-        return dropout_fn(x, self.rate, self._rng, training=self.training)
+        training = self.training and is_grad_enabled()
+        return dropout_fn(x, self.rate, self._rng, training=training)
 
 
 class ReLU(Module):

@@ -29,7 +29,7 @@ Entry points
   (``/predict``, ``/recommend``, ``/healthz``, ``/stats``,
   ``/reload``); request/response codecs are
   :func:`sample_from_json` / :func:`result_to_json`;
-* :func:`compare_throughput` — uncached vs cached-per-sample vs
+* :func:`compare_throughput` — uncached vs cached (batches of one) vs
   batched vs compiled serving microbench (the batched leg reports
   latency percentiles);
 * :class:`PlanCache` — compiled inference plans (trace-once, graph-free

@@ -291,39 +291,30 @@ class Predictor:
         """Serve a batch through the model's vectorised batch path.
 
         Shared embeddings come from the cache; the model's
-        ``predict_batch`` encodes the whole batch at once (results are
-        identical to the per-sample loop).  With compilation on, the
-        batch instead replays the cached plan for its shape bucket
-        (tracing it first if cold) — ranked lists are bit-identical for
-        float64 plans, and any bucket the tracer cannot capture falls
-        back to eager automatically.  The model runs in eval mode for
-        the batch and its prior train/eval mode is restored afterwards,
-        so a mid-training evaluation hook can wrap the live model
-        safely.
+        ``predict_batch`` encodes the whole batch at once (each result
+        equals that of the sample's batch of one).  With compilation
+        on, the batch instead replays the cached plan for its shape
+        bucket (tracing it first if cold) — ranked lists are
+        bit-identical for float64 plans, and any bucket the tracer
+        cannot capture falls back to eager automatically.  Inference
+        runs under ``no_grad``, where dropout is the identity, so the
+        model's train/eval mode never changes the result and a
+        mid-training evaluation hook can wrap the live model safely.
         """
         start = time.perf_counter()
-        # the mode toggle walks every sub-module; a long-lived serving
-        # predictor is already in eval, so skip the walk on the hot path
-        was_training = getattr(self.model, "training", False)
-        if was_training:
-            self.model.eval()
-        try:
-            with no_grad():
-                version, shared = self.shared_state_versioned()
-                results = None
-                if self.plan_cache is not None and samples:
-                    entry = self.plan_cache.entry_for(
-                        self.model, samples, *shared, version=version
+        with no_grad():
+            version, shared = self.shared_state_versioned()
+            results = None
+            if self.plan_cache is not None and samples:
+                entry = self.plan_cache.entry_for(
+                    self.model, samples, *shared, version=version
+                )
+                if entry is not None:
+                    results = self.model.predict_batch_compiled(
+                        samples, entry, *shared, k=k
                     )
-                    if entry is not None:
-                        results = self.model.predict_batch_compiled(
-                            samples, entry, *shared, k=k
-                        )
-                if results is None:
-                    results = self.model.predict_batch(samples, *shared, k=k)
-        finally:
-            if was_training:
-                self.model.train(True)
+            if results is None:
+                results = self.model.predict_batch(samples, *shared, k=k)
         self.stats.record_batch(time.perf_counter() - start, len(results))
         if self.quality is not None:
             # record *before* the results leave the facade: by the time
@@ -376,9 +367,8 @@ def compare_throughput(
 
     * ``uncached`` — the legacy research loop: ``compute_embeddings()``
       recomputed per request;
-    * ``cached`` — shared embeddings computed once, then the per-sample
-      ``predict`` loop (what ``Predictor.predict_batch`` did before the
-      vectorised encode landed);
+    * ``cached`` — shared embeddings computed once, then a loop of
+      ``predict`` calls, each a batch of one;
     * ``batched`` — the :class:`Predictor` facade driving the model's
       eager ``predict_batch`` in chunks of ``batch_size``, with
       per-batch latencies recorded for p50/p95/p99;
@@ -406,95 +396,89 @@ def compare_throughput(
     per-round ratios* — each round times the legs back to back, so a
     contention burst inflates both passes of the pair and cancels in
     their ratio, where a ratio of independent leg medians would not.
-
-    The model's prior train/eval mode is restored on exit — the same
-    guarantee ``Predictor.predict_batch`` and the evaluator document.
+    Every leg runs under ``no_grad``, so the model's train/eval mode
+    does not matter and is left as it is.
     """
     samples = list(samples)
-    was_training = getattr(model, "training", False)
-    model.eval()
-    try:
+    start = time.perf_counter()
+    with no_grad():
+        for _ in range(repeats):
+            for sample in samples:
+                model.predict(sample, *model.compute_embeddings())
+    uncached_seconds = time.perf_counter() - start
+
+    with no_grad():
+        shared = model.compute_embeddings()
         start = time.perf_counter()
-        with no_grad():
-            for _ in range(repeats):
-                for sample in samples:
-                    model.predict(sample, *model.compute_embeddings())
-        uncached_seconds = time.perf_counter() - start
+        for _ in range(repeats):
+            for sample in samples:
+                model.predict(sample, *shared)
+        cached_seconds = time.perf_counter() - start
 
-        with no_grad():
-            shared = model.compute_embeddings()
-            start = time.perf_counter()
-            for _ in range(repeats):
-                for sample in samples:
-                    model.predict(sample, *shared)
-            cached_seconds = time.perf_counter() - start
-
-        # graph_cache_size=None: a measurement facade must not swap the
-        # caller's model cache out from under it
-        predictor = Predictor(model, graph_cache_size=None, compile=False)
-        legs: List[Tuple[str, Predictor]] = [("batched", predictor)]
-        compiled: Dict[str, float] = {}
-        if supports_plans(model):
-            for leg, dtype in (("compiled", "float64"), ("compiled_f32", "float32")):
-                legs.append(
-                    (
-                        leg,
-                        Predictor(
-                            model, graph_cache_size=None, compile=True, plan_dtype=dtype
-                        ),
-                    )
+    # graph_cache_size=None: a measurement facade must not swap the
+    # caller's model cache out from under it
+    predictor = Predictor(model, graph_cache_size=None, compile=False)
+    legs: List[Tuple[str, Predictor]] = [("batched", predictor)]
+    compiled: Dict[str, float] = {}
+    if supports_plans(model):
+        for leg, dtype in (("compiled", "float64"), ("compiled_f32", "float32")):
+            legs.append(
+                (
+                    leg,
+                    Predictor(
+                        model, graph_cache_size=None, compile=True, plan_dtype=dtype
+                    ),
                 )
+            )
 
-        def one_pass(runner: Predictor) -> None:
-            for lo in range(0, len(samples), batch_size):
-                runner.predict_batch(samples[lo : lo + batch_size])
+    def one_pass(runner: Predictor) -> None:
+        for lo in range(0, len(samples), batch_size):
+            runner.predict_batch(samples[lo : lo + batch_size])
 
-        # warmup pass per leg (traces plans, fills knowledge caches)
+    # warmup pass per leg (traces plans, fills knowledge caches)
+    for leg, runner in legs:
+        start = time.perf_counter()
+        one_pass(runner)
+        if leg != "batched":
+            compiled[f"{leg}_warmup_seconds"] = time.perf_counter() - start
+
+    pass_times: Dict[str, List[float]] = {leg: [] for leg, _ in legs}
+    for _ in range(repeats):
         for leg, runner in legs:
             start = time.perf_counter()
             one_pass(runner)
-            if leg != "batched":
-                compiled[f"{leg}_warmup_seconds"] = time.perf_counter() - start
+            pass_times[leg].append(time.perf_counter() - start)
 
-        pass_times: Dict[str, List[float]] = {leg: [] for leg, _ in legs}
-        for _ in range(repeats):
-            for leg, runner in legs:
-                start = time.perf_counter()
-                one_pass(runner)
-                pass_times[leg].append(time.perf_counter() - start)
+    def _median(values: Sequence[float]) -> float:
+        ordered = sorted(values)
+        mid = len(ordered) // 2
+        if len(ordered) % 2:
+            return ordered[mid]
+        return (ordered[mid - 1] + ordered[mid]) / 2.0
 
-        def _median(values: Sequence[float]) -> float:
-            ordered = sorted(values)
-            mid = len(ordered) // 2
-            if len(ordered) % 2:
-                return ordered[mid]
-            return (ordered[mid - 1] + ordered[mid]) / 2.0
+    def leg_seconds(leg: str) -> float:
+        return _median(pass_times[leg]) * repeats
 
-        def leg_seconds(leg: str) -> float:
-            return _median(pass_times[leg]) * repeats
+    def paired_speedup(leg: str) -> float:
+        ratios = [
+            b / c
+            for b, c in zip(pass_times["batched"], pass_times[leg])
+            if c > 0
+        ]
+        return _median(ratios) if ratios else float("inf")
 
-        def paired_speedup(leg: str) -> float:
-            ratios = [
-                b / c
-                for b, c in zip(pass_times["batched"], pass_times[leg])
-                if c > 0
-            ]
-            return _median(ratios) if ratios else float("inf")
-
-        batched_seconds = leg_seconds("batched")
-        count = len(samples) * repeats
-        speedups: Dict[str, float] = {}
-        for leg, runner in legs[1:]:
-            seconds = leg_seconds(leg)
-            compiled[f"{leg}_seconds"] = seconds
-            compiled[f"{leg}_sps"] = count / seconds if seconds > 0 else float("inf")
-            speedups[leg] = paired_speedup(leg)
-            cache = runner.plan_cache
-            compiled[f"{leg}_plans"] = float(len(cache))
-            compiled[f"{leg}_plan_hits"] = float(cache.hits)
-            compiled[f"{leg}_plan_misses"] = float(cache.misses)
-    finally:
-        model.train(was_training)
+    batched_seconds = leg_seconds("batched")
+    count = len(samples) * repeats
+    speedups: Dict[str, float] = {}
+    for leg, runner in legs[1:]:
+        seconds = leg_seconds(leg)
+        compiled[f"{leg}_seconds"] = seconds
+        compiled[f"{leg}_sps"] = count / seconds if seconds > 0 else float("inf")
+        speedups[leg] = paired_speedup(leg)
+        cache = runner.plan_cache
+        compiled[f"{leg}_plans"] = float(len(cache))
+        compiled[f"{leg}_plan_hits"] = float(cache.hits)
+        compiled[f"{leg}_plan_misses"] = float(cache.misses)
 
     report = {
         "samples": float(count),

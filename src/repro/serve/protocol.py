@@ -11,8 +11,9 @@ collapses them into one contract:
   top-k, rank-of-target, plus the shared-state convention
   (``compute_embeddings``) that stateless models satisfy trivially by
   returning ``()``;
-* one mixin, :class:`PredictorBase`, deriving the convenience methods
-  from ``predict``.
+* one mixin, :class:`PredictorBase`, deriving ``predict`` and the
+  convenience methods from ``predict_batch`` — every model has one
+  inference implementation, and one sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class PredictorProtocol(Protocol):
     """What the evaluator, harness and serving facade rely on."""
 
     def compute_embeddings(self) -> Tuple[Any, ...]:
-        """Shared per-batch state, passed back into ``predict``."""
+        """Shared per-batch state, passed back into ``predict_batch``."""
         ...
 
     def weights_version(self) -> int:
@@ -128,9 +129,9 @@ class PredictorProtocol(Protocol):
 class PredictorBase:
     """Default implementations of the derived protocol methods.
 
-    Subclasses implement ``predict`` and ``score_candidates``; models
-    with shared state override ``compute_embeddings`` (and, when they
-    hold trainable weights outside :class:`repro.nn.Module`, the
+    Subclasses implement ``predict_batch`` and ``score_candidates``;
+    models with shared state override ``compute_embeddings`` (and, when
+    they hold trainable weights outside :class:`repro.nn.Module`, the
     persistence hooks).
     """
 
@@ -141,19 +142,18 @@ class PredictorBase:
         return 0
 
     def predict(self, sample, *shared, k: Optional[int] = None) -> PredictorResult:
-        raise NotImplementedError
+        """One sample: a batch of one through :meth:`predict_batch`."""
+        return self.predict_batch([sample], *shared, k=k)[0]
 
     def predict_batch(
         self, samples, *shared, k: Optional[int] = None
     ) -> List[PredictorResult]:
-        """Batched inference; the fallback is the per-sample loop.
+        """Batched inference, the model's one inference implementation.
 
-        Models with a vectorised encode override this (TSPN-RA pads and
-        masks the batch; ``NextPOIBaseline`` goes through
-        ``score_batch``).  Overrides must produce results identical to
-        mapping ``predict`` over the batch.
+        Padding must never reach a real row: each sample's result
+        equals that of its batch of one.
         """
-        return [self.predict(sample, *shared, k=k) for sample in samples]
+        raise NotImplementedError
 
     def score_candidates(self, sample, candidate_ids, *shared) -> np.ndarray:
         raise NotImplementedError
@@ -161,14 +161,13 @@ class PredictorBase:
     def loss_batch(self, samples, *shared):
         """Summed training loss for one mini-batch.
 
-        The trainer's batched entry point.  This default sums
-        ``loss_sample`` sequentially — same value, same gradients, no
-        speedup — so every gradient-trained model is batch-trainable;
-        models with a vectorised trunk override it with one padded
-        forward pass (TSPN-RA's ``encode_batch``, the batched RNN
-        trunks of the sequential baselines).  Overrides must return the
-        *sum* (not mean) of the per-sample losses so the trainer's
-        ``1/len(batch)`` scaling matches the per-sample path.
+        The trainer's one loss call.  This default sums the model's
+        ``loss_sample`` sequentially, so a model whose trunk does not
+        vectorise still trains; models with a vectorised trunk override
+        it with one padded forward pass (TSPN-RA's ``encode_batch``,
+        the batched RNN trunks of the sequential baselines).  Overrides
+        must return the *sum* (not mean) of the per-sample losses; the
+        trainer applies the ``1/len(batch)`` scaling.
         """
         total = None
         for sample in samples:

@@ -198,12 +198,7 @@ def _replicate_model(model):
     (``set_graph_cache`` migrates warm entries without touching the
     source cache).
     """
-    replica = copy.copy(model)
-    # Serving always runs in eval mode; pinning it here (rather than
-    # per-request) keeps one worker's predict-time mode save/restore
-    # from racing another worker mid-forward into dropout.
-    replica.eval()
-    return replica
+    return copy.copy(model)
 
 
 class InferenceServer:

@@ -3,23 +3,17 @@
 Implements the paper's protocol: Adam with exponentially decayed
 learning rate, mini-batches of samples, loss summed per batch.
 
-Two loss contracts are supported, both taking the shared per-batch
-state returned by ``compute_embeddings()`` (``()`` for stateless
-models):
-
-* ``loss_sample(sample, *shared)`` — the scalar loss of one sample.
-  The per-sample path sums these over the mini-batch; any model that
-  implements only this still trains.
-* ``loss_batch(samples, *shared)`` — the *summed* loss of a whole
-  mini-batch computed in one padded, differentiable forward pass (one
-  ``(batch, seq, dim)`` encode instead of ``batch`` sequential ones).
-  This is the default path (:attr:`TrainConfig.use_batched`); the
-  trainer falls back to the per-sample loop automatically for models
-  without ``loss_batch``.  Implementations must return the sum — the
-  trainer applies the ``1/len(batch)`` scaling itself, so both paths
-  optimise exactly the same objective (values agree bit-for-bit at
-  identical weights; gradients agree to floating-point accumulation
-  order, see ``tests/test_train_batched.py``).
+Every step makes one loss call, ``loss_batch(samples, *shared)``: the
+*summed* loss of the mini-batch, given the shared per-batch state
+returned by ``compute_embeddings()`` (``()`` for stateless models).
+TSPN-RA and the baselines with a batchable trunk compute it in one
+padded, differentiable forward pass (one ``(batch, seq, dim)`` encode);
+models that define only ``loss_sample`` inherit
+:meth:`repro.serve.protocol.PredictorBase.loss_batch`, which sums it.
+Implementations return the sum; the trainer applies the
+``1/len(batch)`` scaling itself.  Each sample's loss inside a batch
+equals its batch of one up to floating-point accumulation order (see
+``tests/test_train_batched.py``).
 """
 
 from __future__ import annotations
@@ -41,10 +35,6 @@ class TrainConfig:
     The paper trains 40 epochs at lr=2e-5 with batch size 8 on GPU;
     the scaled-down CPU default is fewer epochs at a proportionally
     larger learning rate (the Fig. 10 bench sweeps both).
-
-    ``use_batched`` selects the batched ``loss_batch`` path (the
-    escape hatch back to the per-sample loop is ``use_batched=False``
-    — useful when bisecting a regression between the two paths).
     """
 
     epochs: int = 3
@@ -54,7 +44,6 @@ class TrainConfig:
     max_grad_norm: float = 5.0
     max_train_samples: Optional[int] = None
     seed: int = 0
-    use_batched: bool = True
     verbose: bool = False
 
 
@@ -86,13 +75,6 @@ class Trainer:
         )
         self.scheduler = ExponentialDecay(self.optimizer, gamma=self.config.lr_decay)
 
-    @property
-    def batched(self) -> bool:
-        """Whether training will go through ``loss_batch``."""
-        return self.config.use_batched and callable(
-            getattr(self.model, "loss_batch", None)
-        )
-
     def fit(
         self,
         samples: Sequence[PredictionSample],
@@ -122,23 +104,15 @@ class Trainer:
                     epoch_callback(epoch, mean_loss)
                 self.scheduler.step()
         finally:
-            # restore the caller's train/eval mode (mirrors the
-            # evaluator and compare_throughput) instead of leaving the
-            # model unconditionally in train mode
+            # restore the caller's train/eval mode instead of leaving
+            # the model unconditionally in train mode
             self.model.train(was_training)
         return history
 
     def _train_batch(self, batch: Sequence[PredictionSample]) -> float:
         self.optimizer.zero_grad()
         shared = self.model.compute_embeddings()
-        if self.batched:
-            total = self.model.loss_batch(batch, *shared)
-        else:
-            total = None
-            for sample in batch:
-                loss = self.model.loss_sample(sample, *shared)
-                total = loss if total is None else total + loss
-        total = total * (1.0 / len(batch))
+        total = self.model.loss_batch(batch, *shared) * (1.0 / len(batch))
         total.backward()
         self.optimizer.step()
         return float(total.item())

@@ -11,9 +11,8 @@ from repro.core import (
     SpatialEncoder,
     TSPNRAConfig,
     TemporalEncoder,
-    arcface_loss,
-    combined_loss,
-    cosine_scores,
+    arcface_loss_batch,
+    cosine_similarities_batch,
     rank_by_cosine,
     rank_of_target,
     spatial_encoding,
@@ -23,6 +22,7 @@ from repro.data.trajectory import Trajectory, Visit
 from repro.geo import BoundingBox
 from repro.graphs import build_qrp_graph
 from repro.imagery import ImageryCatalog, LandUseMap, TileRenderer
+from repro.nn import key_padding_mask
 from repro.spatial import RegionQuadTree
 from repro.utils import spawn
 
@@ -223,77 +223,101 @@ class TestFusion:
     def test_output_is_vector(self):
         fusion = FusionModule(dim=16, num_heads=2, num_layers=2, rng=spawn(8))
         fusion.eval()
-        seq = Tensor(np.random.default_rng(5).normal(size=(6, 16)))
-        hist = Tensor(np.random.default_rng(6).normal(size=(9, 16)))
-        assert fusion(seq, hist).shape == (16,)
+        seq = Tensor(np.random.default_rng(5).normal(size=(1, 6, 16)))
+        hist = Tensor(np.random.default_rng(6).normal(size=(1, 9, 16)))
+        assert fusion.forward_batch(seq, [6], hist, key_padding_mask([9], 9)).shape == (1, 16)
 
     def test_handles_no_history(self):
         fusion = FusionModule(dim=16, num_heads=2, num_layers=1, rng=spawn(9))
         fusion.eval()
-        seq = Tensor(np.random.default_rng(7).normal(size=(4, 16)))
-        assert fusion(seq, None).shape == (16,)
+        seq = Tensor(np.random.default_rng(7).normal(size=(1, 4, 16)))
+        assert fusion.forward_batch(seq, [4]).shape == (1, 16)
 
     def test_causality(self):
-        """Perturbing the middle of the sequence must not change... the
-        output *does* depend on all positions (we read the last), but
-        perturbing positions after the last is impossible; instead check
-        that a single-element sequence works."""
+        """Positions after a sample's last real one never reach its
+        output (changing them leaves h_out unchanged), and a
+        single-element sequence works."""
         fusion = FusionModule(dim=16, num_heads=2, num_layers=1, rng=spawn(10))
         fusion.eval()
-        seq = Tensor(np.random.default_rng(8).normal(size=(1, 16)))
-        assert fusion(seq, None).shape == (16,)
+        seq = np.random.default_rng(8).normal(size=(1, 4, 16))
+        changed = seq.copy()
+        changed[:, 2:] += 10.0
+        np.testing.assert_allclose(
+            fusion.forward_batch(Tensor(changed), [2]).data,
+            fusion.forward_batch(Tensor(seq), [2]).data,
+            rtol=0,
+            atol=1e-12,
+        )
+        assert fusion.forward_batch(Tensor(seq[:, :1]), [1]).shape == (1, 16)
 
 
 class TestLosses:
+    """Eq. 8's ArcFace head on a batch of one."""
+
     def _setup(self):
         rng = np.random.default_rng(9)
-        out = Tensor(rng.normal(size=8), requires_grad=True)
+        out = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         cands = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
         return out, cands
 
+    @staticmethod
+    def _loss(out, cands, target, **kwargs):
+        return arcface_loss_batch(out, cands, [target], **kwargs).sum()
+
     def test_cosine_scores_bounds(self):
         out, cands = self._setup()
-        scores = cosine_scores(out, cands).data
+        scores = cosine_similarities_batch(out.data, cands.data)
         assert np.all(scores <= 1.0 + 1e-9) and np.all(scores >= -1.0 - 1e-9)
 
     def test_loss_positive(self):
         out, cands = self._setup()
-        loss = arcface_loss(out, cands, 2)
-        assert loss.item() > 0
+        assert self._loss(out, cands, 2).item() > 0
 
     def test_perfect_alignment_lower_loss(self):
         rng = np.random.default_rng(10)
         cands = Tensor(rng.normal(size=(5, 8)))
-        aligned = Tensor(cands.data[2].copy(), requires_grad=True)
-        anti = Tensor(-cands.data[2], requires_grad=True)
-        assert arcface_loss(aligned, cands, 2).item() < arcface_loss(anti, cands, 2).item()
+        aligned = Tensor(cands.data[2:3].copy(), requires_grad=True)
+        anti = Tensor(-cands.data[2:3], requires_grad=True)
+        assert self._loss(aligned, cands, 2).item() < self._loss(anti, cands, 2).item()
 
     def test_margin_increases_loss(self):
         out, cands = self._setup()
-        no_margin = arcface_loss(out, cands, 1, margin=0.0).item()
-        with_margin = arcface_loss(out, cands, 1, margin=0.4).item()
+        no_margin = self._loss(out, cands, 1, margin=0.0).item()
+        with_margin = self._loss(out, cands, 1, margin=0.4).item()
         assert with_margin > no_margin
 
     def test_target_index_validation(self):
         out, cands = self._setup()
         with pytest.raises(IndexError):
-            arcface_loss(out, cands, 7)
+            self._loss(out, cands, 7)
 
     def test_gradient_pulls_toward_target(self):
         """One gradient step should raise the target's cosine score."""
         rng = np.random.default_rng(11)
-        out = Tensor(rng.normal(size=8), requires_grad=True)
+        out = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         cands = Tensor(rng.normal(size=(5, 8)))
-        before = cosine_scores(out, cands).data[3]
-        loss = arcface_loss(out, cands, 3)
-        loss.backward()
-        out2 = Tensor(out.data - 0.1 * out.grad)
-        after = cosine_scores(out2, cands).data[3]
+        before = cosine_similarities_batch(out.data, cands.data)[0, 3]
+        self._loss(out, cands, 3).backward()
+        after = cosine_similarities_batch(out.data - 0.1 * out.grad, cands.data)[0, 3]
         assert after > before
 
     def test_combined_loss_weighting(self):
-        a, b = Tensor(np.array(2.0)), Tensor(np.array(3.0))
-        assert combined_loss(a, b, beta=2.0).item() == pytest.approx(7.0)
+        """TSPN-RA's total is beta * tile loss + POI loss: linear in beta."""
+        from repro.core import TSPNRA
+        from repro.data import build_dataset, make_samples
+
+        dataset = build_dataset("nyc", seed=0, scale=0.12, imagery_resolution=16)
+        config = TSPNRAConfig(dim=16, fusion_layers=1, hgat_layers=1, top_k=4, num_heads=2)
+        model = TSPNRA.from_dataset(dataset, config, rng=spawn(12)).eval()
+        batch = make_samples(dataset, last_only=True)[:4]
+        shared = model.compute_embeddings()
+        totals = []
+        for beta in (0.0, 1.0, 2.0):
+            model.config = config.variant(beta=beta)
+            totals.append(model.loss_batch(batch, *shared).item())
+        tile_loss = totals[1] - totals[0]
+        assert tile_loss > 0
+        assert totals[2] == pytest.approx(totals[0] + 2.0 * tile_loss, rel=1e-12)
 
 
 class TestRanking:

@@ -32,7 +32,7 @@ class TestForward:
         dataset, splits = tiny
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(1))
         tiles, pois = model.compute_embeddings()
-        loss = model.loss_sample(splits.train[0], tiles, pois)
+        loss = model.loss_batch([splits.train[0]], tiles, pois)
         assert np.isfinite(loss.item())
 
     def test_backward_touches_all_component_kinds(self, tiny):
@@ -40,7 +40,7 @@ class TestForward:
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(2))
         tiles, pois = model.compute_embeddings()
         sample = next(s for s in splits.train if s.history)
-        model.loss_sample(sample, tiles, pois).backward()
+        model.loss_batch([sample], tiles, pois).backward()
         grads = {name: p.grad for name, p in model.named_parameters()}
         assert grads["tile_embedder.conv1.weight"] is not None
         assert grads["poi_embedder.id_table.weight"] is not None
@@ -68,9 +68,9 @@ class TestForward:
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(4))
         sample = next(s for s in splits.train if s.history)
         tiles, pois = model.compute_embeddings()
-        model.encode(sample, tiles, pois)
+        model.encode_batch([sample], tiles, pois)
         size = len(model._graph_cache)
-        model.encode(sample, tiles, pois)
+        model.encode_batch([sample], tiles, pois)
         assert len(model._graph_cache) == size
         model.clear_graph_cache()
         assert len(model._graph_cache) == 0
@@ -94,7 +94,7 @@ class TestAblations:
         model = TSPNRA.from_dataset(dataset, config, rng=spawn(5))
         tiles, pois = model.compute_embeddings()
         sample = next(s for s in splits.train if s.history)
-        loss = model.loss_sample(sample, tiles, pois)
+        loss = model.loss_batch([sample], tiles, pois)
         assert np.isfinite(loss.item())
         model.eval()
         assert model.predict(sample).poi_rank >= 1
@@ -144,3 +144,24 @@ class TestTraining:
         n = len(dataset.city.pois)
         random_mrr = sum(1.0 / r for r in range(1, n + 1)) / n
         assert model_mrr > 1.3 * random_mrr, (model_mrr, random_mrr)
+
+
+class TestInferenceMode:
+    """Inference is a pure function of weights and input, whatever the
+    model's train/eval mode: dropout is off under ``no_grad``."""
+
+    def test_repeat_calls_agree_in_training_mode(self, tiny):
+        dataset, splits = tiny
+        model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(10))
+        assert model.training
+        samples = splits.test[:16]
+
+        def ranked(results):
+            return [(r.ranked_tiles, r.ranked_pois) for r in results]
+
+        first = ranked(model.predict_batch(samples))
+        assert ranked(model.predict_batch(samples)) == first
+        single = ranked([model.predict(samples[0])])
+        assert ranked([model.predict(samples[0])]) == single == first[:1]
+        model.eval()
+        assert ranked(model.predict_batch(samples)) == first

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import Tensor, gradcheck
 from repro.nn import (
@@ -17,9 +19,9 @@ from repro.nn import (
     Module,
     MultiHeadAttention,
     Parameter,
-    SelfAttention,
     Sequential,
     causal_mask,
+    key_padding_mask,
 )
 from repro.utils import spawn
 
@@ -132,6 +134,45 @@ class TestConvAndNorm:
         assert Flatten()(_x((2, 3, 4))).shape == (2, 12)
 
 
+def _numpy_attention(attn, query, key, value, mask):
+    """Scaled dot-product attention in plain numpy, with ``attn``'s weights.
+
+    ``mask`` is boolean, broadcastable to ``(B, heads, L_q, L_k)``, True
+    at blocked keys; a blocked score becomes -1e9, so a row with every
+    key blocked attends uniformly.
+    """
+
+    def linear(layer, x):
+        return x @ layer.weight.data.T + layer.bias.data
+
+    def split(x):
+        batch, length, _ = x.shape
+        return x.reshape(batch, length, attn.num_heads, attn.head_dim).transpose(0, 2, 1, 3)
+
+    q = split(linear(attn.w_q, query))
+    k = split(linear(attn.w_k, key))
+    v = split(linear(attn.w_v, value))
+    scores = np.where(mask, -1e9, q @ k.transpose(0, 1, 3, 2) / np.sqrt(attn.head_dim))
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = (weights @ v).transpose(0, 2, 1, 3).reshape(query.shape[0], query.shape[1], -1)
+    return linear(attn.w_o, merged)
+
+
+@st.composite
+def _attention_cases(draw):
+    """(heads, head_dim, batch, L_q, L_k, causal, key lengths, seed);
+    a key length of 0 is a row whose keys are all padding."""
+    heads = draw(st.integers(1, 2))
+    head_dim = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 3))
+    l_q = draw(st.integers(1, 4))
+    causal = draw(st.booleans())
+    l_k = l_q if causal else draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(0, l_k), min_size=batch, max_size=batch))
+    return heads, head_dim, batch, l_q, l_k, causal, lengths, draw(st.integers(0, 2**16))
+
+
 class TestAttention:
     def test_causal_mask_shape_and_content(self):
         m = causal_mask(3)
@@ -139,23 +180,25 @@ class TestAttention:
         assert not m[2, 0] and m[0, 1]
 
     def test_self_attention_shape(self):
-        attn = SelfAttention(8, num_heads=2, causal=True, rng=spawn(0))
-        assert attn(_x((5, 8))).shape == (5, 8)
+        attn = MultiHeadAttention(8, num_heads=2, rng=spawn(0))
+        x = _x((1, 5, 8))
+        assert attn(x, x, x, causal_mask(5)[None, None]).shape == (1, 5, 8)
 
     def test_causal_first_position_ignores_future(self):
         """Changing future inputs must not affect the first output position."""
-        attn = SelfAttention(8, num_heads=2, causal=True, rng=spawn(1))
-        x1 = np.random.default_rng(0).normal(size=(4, 8))
+        attn = MultiHeadAttention(8, num_heads=2, rng=spawn(1))
+        mask = causal_mask(4)[None, None]
+        x1 = np.random.default_rng(0).normal(size=(1, 4, 8))
         x2 = x1.copy()
-        x2[2:] += 10.0
-        out1 = attn(Tensor(x1)).data[0]
-        out2 = attn(Tensor(x2)).data[0]
+        x2[:, 2:] += 10.0
+        out1 = attn(Tensor(x1), Tensor(x1), Tensor(x1), mask).data[0, 0]
+        out2 = attn(Tensor(x2), Tensor(x2), Tensor(x2), mask).data[0, 0]
         assert np.allclose(out1, out2)
 
     def test_cross_attention_shapes(self):
         attn = MultiHeadAttention(8, num_heads=4, rng=spawn(2))
-        q, kv = _x((3, 8)), _x((7, 8), seed=5)
-        assert attn(q, kv, kv).shape == (3, 8)
+        q, kv = _x((1, 3, 8)), _x((1, 7, 8), seed=5)
+        assert attn(q, kv, kv).shape == (1, 3, 8)
 
     def test_dim_not_divisible_raises(self):
         with pytest.raises(ValueError):
@@ -163,7 +206,7 @@ class TestAttention:
 
     def test_attention_grad_flows(self):
         attn = MultiHeadAttention(4, num_heads=2, rng=spawn(3))
-        q, kv = _x((2, 4)), _x((3, 4), seed=6)
+        q, kv = _x((1, 2, 4)), _x((1, 3, 4), seed=6)
         attn(q, kv, kv).sum().backward()
         assert q.grad is not None and kv.grad is not None
         assert attn.w_q.weight.grad is not None
@@ -171,46 +214,55 @@ class TestAttention:
 
 class TestBatchedAttention:
     def test_batched_self_attention_matches_per_sample(self):
+        """Each row of a mixed-length batch equals its batch of one on
+        the row's real positions: padding never reaches a real row."""
         attn = MultiHeadAttention(8, num_heads=2, rng=spawn(7))
+        lengths = [5, 3, 1]
         x = np.random.default_rng(2).normal(size=(3, 5, 8))
-        mask = causal_mask(5)
-        batched = attn(Tensor(x), Tensor(x), Tensor(x), mask=mask).data
+        for b, n in enumerate(lengths):
+            x[b, n:] = 99.0
+        mask = causal_mask(5)[None, None] | key_padding_mask(lengths, 5)[:, None, None, :]
+        batched = attn(Tensor(x), Tensor(x), Tensor(x), mask).data
         assert batched.shape == (3, 5, 8)
-        for b in range(3):
-            row = Tensor(x[b])
-            single = attn(row, row, row, mask=mask).data
-            np.testing.assert_allclose(batched[b], single, atol=1e-12)
+        for b, n in enumerate(lengths):
+            row = Tensor(x[b : b + 1, :n])
+            single = attn(row, row, row, causal_mask(n)[None, None]).data[0]
+            np.testing.assert_allclose(batched[b, :n], single, rtol=0, atol=1e-12)
 
     def test_key_padding_mask_blocks_padding(self):
         """Padded keys must not change real positions' outputs."""
-        from repro.nn import key_padding_mask
-
         attn = MultiHeadAttention(8, num_heads=2, rng=spawn(8))
         rng = np.random.default_rng(3)
         q = rng.normal(size=(2, 3, 8))
         kv_real = rng.normal(size=(2, 4, 8))
         kv_padded = np.concatenate([kv_real, 99.0 * np.ones((2, 2, 8))], axis=1)
-        lengths = [4, 4]
-        mask = key_padding_mask(lengths, 6)  # (2, 6) True at pads
-        cross_mask = np.broadcast_to(mask[:, None, :], (2, 3, 6))
+        cross_mask = key_padding_mask([4, 4], 6)[:, None, None, :]  # True at pads
         out_full = attn(Tensor(q), Tensor(kv_real), Tensor(kv_real)).data
-        out_masked = attn(Tensor(q), Tensor(kv_padded), Tensor(kv_padded), mask=cross_mask).data
+        out_masked = attn(Tensor(q), Tensor(kv_padded), Tensor(kv_padded), cross_mask).data
         np.testing.assert_allclose(out_masked, out_full, atol=1e-9)
 
     def test_key_padding_mask_shape(self):
-        from repro.nn import key_padding_mask
-
         mask = key_padding_mask([1, 3], 3)
         assert mask.tolist() == [[False, True, True], [False, False, False]]
 
-    def test_batched_causal_self_attention_wrapper(self):
-        attn = SelfAttention(8, num_heads=2, causal=True, rng=spawn(9))
-        x = np.random.default_rng(4).normal(size=(2, 4, 8))
-        batched = attn(Tensor(x)).data
-        for b in range(2):
-            np.testing.assert_allclose(
-                batched[b], attn(Tensor(x[b])).data, atol=1e-12
-            )
+    @settings(max_examples=60, deadline=None)
+    @given(_attention_cases())
+    def test_matches_numpy_reference(self, case):
+        """Causal self-attention and cross attention under key-padding
+        masks, including rows whose keys are all padding, equal plain
+        numpy attention."""
+        heads, head_dim, batch, l_q, l_k, causal, lengths, seed = case
+        rng = np.random.default_rng(seed)
+        dim = heads * head_dim
+        attn = MultiHeadAttention(dim, num_heads=heads, rng=rng)
+        query = rng.normal(size=(batch, l_q, dim))
+        memory = query if causal else rng.normal(size=(batch, l_k, dim))
+        mask = key_padding_mask(lengths, l_k)[:, None, None, :]
+        if causal:
+            mask = mask | causal_mask(l_q)[None, None]
+        out = attn(Tensor(query), Tensor(memory), Tensor(memory), mask).data
+        expected = _numpy_attention(attn, query, memory, memory, mask)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
 
 
 class TestBatchedRecurrent:

@@ -244,7 +244,10 @@ class TestMicroBatchScheduler:
         futures = [scheduler.submit(i) for i in range(5)]
         batch = scheduler.next_batch()
         assert [r.sample for r in batch] == [0, 1, 2]  # full, FIFO, no wait
-        batch = scheduler.next_batch()  # deadline flush on the remainder
+        # draining hands out the remainder without waiting out the
+        # deadline (test_flush_on_deadline covers deadline flushes)
+        scheduler.close(drain=True)
+        batch = scheduler.next_batch()
         assert [r.sample for r in batch] == [3, 4]
         assert all(not f.done() for f in futures)  # consumers resolve them
 

@@ -6,12 +6,17 @@ import pytest
 from repro.autograd import Tensor, cross_entropy
 from repro.data.trajectory import PredictionSample, Visit
 from repro.nn import Embedding, Linear, Module
+from repro.serve.protocol import PredictorBase
 from repro.train import TrainConfig, Trainer, TrainHistory
 from repro.utils import spawn
 
 
-class _ToyModel(Module):
-    """Predicts the next POI id from the last prefix POI (learnable table)."""
+class _ToyModel(Module, PredictorBase):
+    """Predicts the next POI id from the last prefix POI (learnable table).
+
+    Defines only ``loss_sample``; the trainer reaches it through the
+    summing ``PredictorBase.loss_batch``.
+    """
 
     requires_gradient_training = True
 

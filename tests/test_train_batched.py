@@ -1,11 +1,12 @@
-"""Equivalence and regression tests for the batched training path.
+"""Equivalence and regression tests for the training path.
 
-The contract under test: ``loss_batch`` computes the *same objective*
-as summing ``loss_sample`` over the mini-batch — same value at equal
-weights, parameter gradients equal to floating-point accumulation
-order, and (with dropout disabled, the one path-dependent RNG draw)
-training trajectories through the full Trainer + Adam loop that agree
-to rounding across the two paths and bit for bit across reruns.
+The contract under test: every row of a mixed-length mini-batch trains
+exactly as that sample's batch of one.  ``loss_batch(batch)`` equals
+the sum of ``loss_batch([sample])`` over the batch at equal weights,
+with parameter gradients equal to floating-point accumulation order.
+A batch of one has no padding, so this checks that padding and masking
+never reach a real row.  Training through the full Trainer + Adam loop
+(dropout disabled) is bit-identical across reruns.
 """
 
 import numpy as np
@@ -21,9 +22,10 @@ from repro.serve.protocol import PredictorBase
 from repro.train import TrainConfig, Trainer
 from repro.utils import spawn
 
-# dropout=0: dropout masks are drawn in path-dependent order (one big
-# (B, L, dim) draw batched vs many small draws per sample), so it is
-# excluded from equivalence checks — every other component must match.
+# dropout=0: dropout masks are drawn in batch-shape-dependent order (one
+# (B, L, dim) draw per batch vs one (1, L, dim) draw per batch of one),
+# so it is excluded from equivalence checks — every other component must
+# match.
 CFG = dict(dim=16, fusion_layers=1, hgat_layers=1, top_k=4, num_heads=2, dropout=0.0)
 
 
@@ -51,10 +53,11 @@ def _mixed_batch(splits):
 
 
 def _grad_equivalence(model, batch, shared_fn, atol=1e-8):
-    """Assert loss_batch gradients match summed loss_sample gradients."""
+    """Assert loss_batch over the batch matches the sum of its batches
+    of one, in value and in every parameter gradient."""
     total = None
     for sample in batch:
-        loss = model.loss_sample(sample, *shared_fn())
+        loss = model.loss_batch([sample], *shared_fn())
         total = loss if total is None else total + loss
     total.backward()
     per_sample = {
@@ -127,9 +130,9 @@ class TestGradientEquivalence:
 
     def test_edge_free_graph_matches_per_sample_identity(self, tiny):
         """A single-leaf history with contain edges dropped yields a
-        graph with nodes but no edges; per-sample HGAT short-circuits
-        it to the identity, and the packed path must agree instead of
-        zeroing its knowledge rows."""
+        graph with nodes but no edges; an HGAT pass over it is the
+        identity, so its knowledge rows are its initial embeddings —
+        never zeroed by packing, alone or inside a batch."""
         from repro.data.trajectory import Trajectory
 
         dataset, splits, _ = tiny
@@ -155,6 +158,9 @@ class TestGradientEquivalence:
         assert not any(qrp.graph.edges[kind] for kind in qrp.graph.edges)
         shared = model.compute_embeddings()
         batch = [crafted] + _mixed_batch(splits)[:4]
+        tiles, pois = model._history_knowledge_batch(batch, *shared)[crafted.history_key]
+        np.testing.assert_array_equal(tiles.data, shared[0].data[qrp.tile_refs])
+        np.testing.assert_array_equal(pois.data, shared[1].data[qrp.poi_refs])
         _grad_equivalence(model, batch, lambda: shared)
 
     def test_loss_independent_of_pack_composition(self, tiny):
@@ -185,37 +191,31 @@ class TestGradientEquivalence:
 
 
 class TestTrainerDeterminism:
-    def _losses(self, dataset, splits, use_batched, seed=11):
+    def _losses(self, dataset, splits, batch_size, seed=11):
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(7))
         config = TrainConfig(
             epochs=3,
-            batch_size=8,
+            batch_size=batch_size,
             lr=5e-3,
             max_train_samples=64,
             seed=seed,
-            use_batched=use_batched,
         )
         return Trainer(model, config).fit(splits.train).epoch_losses
 
     def test_paths_bit_identical_and_deterministic(self, tiny):
-        """Same seed => bit-identical epoch_losses on a rerun of either
-        path (training is a pure function of seed and data), and
-        batched / per-sample epoch_losses equal to rounding (dropout
-        disabled).  The two paths sum in different orders, so their
-        gradients differ from the first step (about 1e-14 here) and
-        their losses may differ in the last bits; rel 1e-12 is far
-        tighter than the 1e-8 gradient tolerance of the equivalence
-        tests above."""
+        """Same seed => bit-identical epoch_losses on a rerun (training
+        is a pure function of seed and data, dropout disabled), both
+        for the paper's mini-batches of 8 and for batches of one."""
         dataset, splits, _ = tiny
-        batched = self._losses(dataset, splits, use_batched=True)
-        assert self._losses(dataset, splits, use_batched=True) == batched
-        per_sample = self._losses(dataset, splits, use_batched=False)
-        assert self._losses(dataset, splits, use_batched=False) == per_sample
-        assert batched == pytest.approx(per_sample, rel=1e-12, abs=0)
+        batched = self._losses(dataset, splits, batch_size=8)
+        assert self._losses(dataset, splits, batch_size=8) == batched
+        single = self._losses(dataset, splits, batch_size=1)
+        assert self._losses(dataset, splits, batch_size=1) == single
 
 
-class _CountingToy(Module):
-    """Per-sample-only model: next-POI table lookup, no loss_batch."""
+class _CountingToy(Module, PredictorBase):
+    """Next-POI table lookup defining only ``loss_sample``; its
+    ``loss_batch`` is the summing ``PredictorBase`` default."""
 
     requires_gradient_training = True
 
@@ -247,36 +247,21 @@ def _toy_samples(n=16):
 
 class TestTrainerDispatch:
     def test_fallback_without_loss_batch(self):
+        """One loss call per mini-batch; a model defining only
+        ``loss_sample`` reaches it for every sample."""
         model = _CountingToy()
-        trainer = Trainer(model, TrainConfig(epochs=1, batch_size=4))
-        assert trainer.config.use_batched and not trainer.batched
-        trainer.fit(_toy_samples())
-        assert model.sample_calls == 16
-
-    def test_escape_hatch_forces_per_sample(self, tiny):
-        dataset, splits, locations = tiny
-        model = make_baseline("GRU", len(dataset.city.pois), locations, dim=16, rng=spawn(9))
-        calls = {"batch": 0}
-        original = model.loss_batch
+        assert type(model).loss_batch is PredictorBase.loss_batch
+        batch_sizes = []
+        inherited = model.loss_batch
 
         def counting_loss_batch(samples, *shared):
-            calls["batch"] += 1
-            return original(samples, *shared)
+            batch_sizes.append(len(samples))
+            return inherited(samples, *shared)
 
         model.loss_batch = counting_loss_batch
-        trainer = Trainer(
-            model, TrainConfig(epochs=1, batch_size=8, max_train_samples=16, use_batched=False)
-        )
-        assert not trainer.batched
-        trainer.fit(splits.train)
-        assert calls["batch"] == 0
-
-        batched_trainer = Trainer(
-            model, TrainConfig(epochs=1, batch_size=8, max_train_samples=16, use_batched=True)
-        )
-        assert batched_trainer.batched
-        batched_trainer.fit(splits.train)
-        assert calls["batch"] == 2
+        Trainer(model, TrainConfig(epochs=1, batch_size=4)).fit(_toy_samples())
+        assert batch_sizes == [4, 4, 4, 4]
+        assert model.sample_calls == 16
 
 
 class TestFitModeRestore:

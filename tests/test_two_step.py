@@ -1,17 +1,15 @@
 """Focused tests for the two-step prediction helpers."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.two_step import (
     candidate_pois,
-    cosine_similarities,
     cosine_similarities_batch,
     rank_by_cosine,
     rank_of_target,
-    rank_pois,
     rank_pois_batch,
-    rank_tiles,
     rank_tiles_batch,
     select_tiles,
 )
@@ -45,10 +43,10 @@ class TestRanking:
         assert select_tiles(out, embeddings, leaf_ids, k=2) == [20, 30]
 
     def test_rank_tiles_full_list(self):
-        out = np.array([1.0, 0.0])
+        out = np.array([[1.0, 0.0]])
         leaf_ids = [10, 20]
         embeddings = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert rank_tiles(out, embeddings, leaf_ids) == [20, 10]
+        assert rank_tiles_batch(out, embeddings, leaf_ids) == [[20, 10]]
 
 
 class TestCandidates:
@@ -61,13 +59,13 @@ class TestCandidates:
         assert candidate_pois(system, [1, 2]) == []
 
     def test_rank_pois_empty_candidates(self):
-        assert rank_pois(np.array([1.0, 0.0]), np.zeros((0, 2)), []) == []
+        assert rank_pois_batch(np.array([[1.0, 0.0]]), np.ones((3, 2)), [[]]) == [[]]
 
     def test_rank_pois_orders_by_similarity(self):
-        out = np.array([1.0, 0.0])
-        ids = [100, 200]
-        emb = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert rank_pois(out, emb, ids) == [200, 100]
+        out = np.array([[1.0, 0.0]])
+        table = np.ones((201, 2))
+        table[100], table[200] = [0.0, 1.0], [1.0, 0.0]
+        assert rank_pois_batch(out, table, [[100, 200]]) == [[200, 100]]
 
 
 class TestRankOfTarget:
@@ -89,6 +87,40 @@ class TestRankOfTarget:
         assert rank_of_target([4, 2, 9], 9, universe=1000) == 3
 
 
+def _numpy_cosines(outputs, table):
+    """Plain numpy cos(theta) of every output row against every table row."""
+    out = outputs / (np.linalg.norm(outputs, axis=1, keepdims=True) + 1e-12)
+    rows = table / (np.linalg.norm(table, axis=1, keepdims=True) + 1e-12)
+    return out @ rows.T
+
+
+@st.composite
+def _ranking_cases(draw):
+    """(outputs, table, candidate lists) on a small integer grid.
+
+    Few distinct values make exact ties common: repeated table rows
+    score identically.  Candidate lists may be empty or single, and
+    rows may share candidates.
+    """
+    dim = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 8))
+    batch = draw(st.integers(1, 4))
+    grid = st.integers(-2, 2)
+
+    def matrix(rows):
+        values = draw(st.lists(grid, min_size=rows * dim, max_size=rows * dim))
+        return np.asarray(values, dtype=np.float64).reshape(rows, dim)
+
+    candidate_lists = draw(
+        st.lists(
+            st.lists(st.integers(0, size - 1), max_size=size, unique=True),
+            min_size=batch,
+            max_size=batch,
+        )
+    )
+    return matrix(batch), matrix(size), candidate_lists
+
+
 class TestBatchedRanking:
     def test_cosine_similarities_batch_matches_rows(self):
         rng = np.random.default_rng(3)
@@ -97,29 +129,36 @@ class TestBatchedRanking:
         batched = cosine_similarities_batch(outputs, candidates)
         assert batched.shape == (5, 11)
         for i in range(5):
-            np.testing.assert_allclose(
-                batched[i], cosine_similarities(outputs[i], candidates), atol=1e-12
-            )
+            expected = [
+                outputs[i] @ c / (np.linalg.norm(outputs[i]) * np.linalg.norm(c))
+                for c in candidates
+            ]
+            np.testing.assert_allclose(batched[i], expected, atol=1e-12)
 
-    def test_rank_tiles_batch_matches_per_sample(self):
-        rng = np.random.default_rng(4)
-        outputs = rng.normal(size=(6, 8))
-        leaves = rng.normal(size=(9, 8))
-        leaf_ids = [10 * i for i in range(9)]
-        batched = rank_tiles_batch(outputs, leaves, leaf_ids)
-        assert batched == [rank_tiles(out, leaves, leaf_ids) for out in outputs]
-
-    def test_rank_pois_batch_matches_per_sample(self):
-        rng = np.random.default_rng(5)
-        outputs = rng.normal(size=(4, 8))
-        table = rng.normal(size=(20, 8))
-        candidate_lists = [[3, 7, 1], [0, 19], [], list(range(20))]
-        batched = rank_pois_batch(outputs, table, candidate_lists)
+    @settings(max_examples=100, deadline=None)
+    @given(_ranking_cases())
+    def test_rank_tiles_batch_matches_per_sample(self, case):
+        """Each row is the stable descending argsort of its scores."""
+        outputs, leaves, _ = case
+        leaf_ids = [10 * i + 3 for i in range(len(leaves))]
+        scores = _numpy_cosines(outputs, leaves)
         expected = [
-            rank_pois(out, table[np.asarray(c, dtype=np.int64)], list(c)) if c else []
-            for out, c in zip(outputs, candidate_lists)
+            [leaf_ids[j] for j in np.argsort(-row, kind="stable")] for row in scores
         ]
-        assert batched == expected
+        assert rank_tiles_batch(outputs, leaves, leaf_ids) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ranking_cases())
+    def test_rank_pois_batch_matches_per_sample(self, case):
+        """Each row is its candidate list stably re-ordered by descending
+        score, whatever the other rows hold."""
+        outputs, table, candidate_lists = case
+        scores = _numpy_cosines(outputs, table)
+        expected = [
+            [c[j] for j in np.argsort(-scores[i, c], kind="stable")]
+            for i, c in enumerate(candidate_lists)
+        ]
+        assert rank_pois_batch(outputs, table, candidate_lists) == expected
 
     def test_rank_pois_batch_stable_on_ties(self):
         outputs = np.array([[1.0, 0.0]])
