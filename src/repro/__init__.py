@@ -28,8 +28,7 @@ Every model — TSPN-RA and all ten baselines — conforms to
 ``repro.serve.PredictorProtocol``: one result type
 (``PredictorResult``), shared-state inference
 (``compute_embeddings()`` / ``predict_batch(samples, *shared)``, with
-``predict(sample)`` a batch of one), ``score_candidates``, ``top_k``
-and ``target_rank``.
+``predict(sample)`` a batch of one), ``top_k`` and ``target_rank``.
 
 Sub-packages: ``autograd`` / ``nn`` / ``optim`` (the ML substrate),
 ``geo`` / ``spatial`` / ``roadnet`` / ``imagery`` (the urban substrate),

@@ -21,9 +21,7 @@ All baselines conform to the serve-wide
   pass;
 * ``predict_batch(samples, *shared)``: full ranked POI lists, the one
   inference implementation (``predict(sample)`` is a batch of one;
-  shared state is empty for baselines and ignored);
-* ``score_candidates(sample, ids, *shared)``: logits restricted to a
-  candidate set.
+  shared state is empty for baselines and ignored).
 
 Count-based models (MC) implement ``fit(samples)`` instead of
 gradient training; the experiment harness dispatches on
@@ -92,13 +90,6 @@ class NextPOIBaseline(Module, PredictorBase):
             )
             for order, sample in zip(orders, samples)
         ]
-
-    def score_candidates(
-        self, sample: PredictionSample, candidate_ids: Sequence[int], *shared
-    ) -> np.ndarray:
-        with no_grad():
-            logits = self.score(sample).data
-        return logits[np.asarray(candidate_ids, dtype=np.int64)]
 
 
 class SequenceEmbedder(Module):

@@ -79,11 +79,6 @@ class MarkovChain(PredictorBase):
             for order, sample in zip(orders, samples)
         ]
 
-    def score_candidates(
-        self, sample: PredictionSample, candidate_ids: Sequence[int], *shared
-    ) -> np.ndarray:
-        return self.scores(sample)[np.asarray(candidate_ids, dtype=np.int64)]
-
     # interface parity with Module-based baselines
     def eval(self):
         return self

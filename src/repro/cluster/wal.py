@@ -296,6 +296,8 @@ def read_log(directory, min_seq: int = 0) -> LogReadResult:
             final_line = last_segment and line_index == len(complete) - 1 and not tail
             try:
                 payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError("record is not a JSON object")
                 seq = payload.get("seq")
                 if not isinstance(seq, int) or isinstance(seq, bool):
                     raise ValueError("record has no integer seq")

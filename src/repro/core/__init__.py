@@ -1,7 +1,7 @@
 """TSPN-RA core: the paper's primary contribution."""
 
 from .config import TSPNRAConfig
-from .encoders import SpatialEncoder, TemporalEncoder, spatial_encoding
+from .encoders import TemporalEncoder, spatial_encoding, time_slots
 from .fusion import AttentionBlock, FusionModule
 from .hgat import HGATEncoder, HGATLayer
 from .loss import arcface_loss_batch
@@ -29,7 +29,6 @@ __all__ = [
     "POIEmbedder",
     "PredictionResult",
     "QuadTreeTileSystem",
-    "SpatialEncoder",
     "TSPNRA",
     "TSPNRAConfig",
     "TableTileEmbedder",
@@ -43,4 +42,5 @@ __all__ = [
     "rank_tiles_batch",
     "select_tiles",
     "spatial_encoding",
+    "time_slots",
 ]

@@ -3,13 +3,13 @@
 The spatial encoder Ms is the fixed sinusoidal position code of Eq. 4:
 the first half of the embedding dimensions encode x, the second half
 encode y.  Nearby locations get high-cosine-similarity codes (paper
-Fig. 8).  The temporal encoder Mt adds a learnable embedding of the
-half-hour-of-day slot (48 slots).
+Fig. 8).  It has no parameters and each POI's location is fixed, so
+the model adds it as a gather from a per-POI code table.  The temporal
+encoder Mt adds a learnable embedding of the half-hour-of-day slot
+(48 slots).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +22,10 @@ from ..utils.rng import default_rng
 def time_slots(timestamps) -> np.ndarray:
     """Elementwise half-hour-of-day slot ids for any timestamp shape.
 
-    The exact lookup :class:`TemporalEncoder` applies — factored out so
-    the compiled feed-prep stage computes identical slot ids.  The
-    vectorised form matches :func:`~repro.data.checkin.time_slot`
-    exactly: ``t % 24`` is non-negative, so ``astype(int64)``
-    (truncation) equals Python's ``int()`` on every element.
+    The ids :class:`TemporalEncoder` looks up.  The vectorised form
+    matches :func:`~repro.data.checkin.time_slot` exactly: ``t % 24``
+    is non-negative, so ``astype(int64)`` (truncation) equals Python's
+    ``int()`` on every element.
     """
     hours = np.asarray(timestamps, dtype=np.float64)
     slots = ((hours % HOURS_PER_DAY) * 2.0).astype(np.int64) % SLOTS_PER_DAY
@@ -76,30 +75,16 @@ def spatial_encoding(
     return out.reshape(lead + (dim,))
 
 
-class SpatialEncoder(Module):
-    """Adds the Eq. 4 code to a tile-embedding sequence: h_s = E_T(tau) + h_loc."""
-
-    def __init__(self, dim: int, scale: float = 100.0):
-        super().__init__()
-        self.dim = dim
-        self.scale = scale
-
-    def forward(self, embeddings: Tensor, locations: np.ndarray) -> Tensor:
-        code = spatial_encoding(locations, self.dim, scale=self.scale)
-        return embeddings + Tensor(code)
-
-
 class TemporalEncoder(Module):
     """Adds a learnable 48-slot time-of-day embedding: h = h_s + h_t.
 
-    ``timestamps`` may be a flat sequence (one trajectory) or a padded
-    ``(batch, length)`` array — the slot lookup is elementwise either
-    way, so batched and per-sample paths see identical embeddings.
+    ``slot_ids`` are :func:`time_slots` of the visit timestamps, in any
+    shape matching the embeddings' leading dimensions.
     """
 
     def __init__(self, dim: int, rng=None):
         super().__init__()
         self.slots = Embedding(SLOTS_PER_DAY, dim, rng=rng or default_rng())
 
-    def forward(self, embeddings: Tensor, timestamps: Sequence[float]) -> Tensor:
-        return embeddings + self.slots(time_slots(timestamps))
+    def forward(self, embeddings: Tensor, slot_ids: np.ndarray) -> Tensor:
+        return embeddings + self.slots(slot_ids)

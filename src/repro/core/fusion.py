@@ -13,7 +13,7 @@ The output vector is the last position of the final sequence.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from ..nn import (
     Module,
     ModuleList,
     MultiHeadAttention,
-    causal_mask,
 )
 from ..utils.rng import default_rng
 
@@ -44,7 +43,7 @@ class AttentionBlock(Module):
         self.norm3 = LayerNorm(dim)
         self.drop = Dropout(dropout)
 
-    def forward_batch_core(
+    def forward(
         self,
         sequence: Tensor,
         causal: np.ndarray,
@@ -89,52 +88,26 @@ class FusionModule(Module):
     def forward_batch(
         self,
         sequence: Tensor,
-        lengths: Sequence[int],
-        history: Optional[Tensor] = None,
-        history_mask: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Padded-batch fusion: ``(B, L_max, dim)`` -> ``(B, dim)``.
-
-        ``lengths`` gives each sample's real prefix length; the output
-        row for sample b is position ``lengths[b] - 1`` of the final
-        sequence (h_out, the representation used for candidate
-        ranking).  ``history`` is ``(B, H_max, dim)`` right-padded graph
-        knowledge (or None when no sample has any) and ``history_mask``
-        its boolean ``(B, H_max)`` padding mask, True at padded rows.
-        Builds the causal mask, the cross mask and the has-history flags
-        once for all blocks, then runs :meth:`forward_batch_core`.
-        Fully differentiable: under gradient tracking the final gather
-        scatters upstream gradients back to each sample's last real
-        position, so the training loss flows through here.
-        """
-        causal = causal_mask(sequence.shape[1])[None, None, :, :]
-        positions = np.asarray(lengths, dtype=np.int64) - 1
-        if history is None:
-            return self.forward_batch_core(sequence, positions, causal)
-        history_mask = np.asarray(history_mask, dtype=bool)
-        cross = history_mask[:, None, None, :]
-        has_history = (~history_mask.all(axis=1))[:, None, None]  # (B, 1, 1)
-        return self.forward_batch_core(
-            sequence, positions, causal, history, cross, has_history
-        )
-
-    def forward_batch_core(
-        self,
-        sequence: Tensor,
         positions: np.ndarray,
         causal: np.ndarray,
         history: Optional[Tensor] = None,
         cross_mask: Optional[np.ndarray] = None,
         has_history: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Trace-friendly fusion: pre-broadcast masks, explicit gather.
+        """Padded-batch fusion: ``(B, L, dim)`` -> ``(B, dim)``.
 
-        Takes ``positions`` (= ``lengths - 1``) and the pre-shaped masks
-        of :meth:`AttentionBlock.forward_batch_core` directly, so the
-        whole stage is a pure function of its array arguments — the
-        property plan capture needs.
+        Row b of the output is position ``positions[b]`` (the sample's
+        last real position) of the final sequence: h_out, the vector
+        used for candidate ranking.  ``causal``, ``history``,
+        ``cross_mask`` and ``has_history`` are the pre-broadcast
+        arguments of :meth:`AttentionBlock.forward`, built once for all
+        blocks by the caller, so the stage is a pure function of its
+        array arguments (what plan capture needs).  Fully
+        differentiable: under gradient tracking the final gather
+        scatters upstream gradients back to each sample's last real
+        position, so the training loss flows through here.
         """
         out = sequence
         for block in self.blocks:
-            out = block.forward_batch_core(out, causal, history, cross_mask, has_history)
+            out = block(out, causal, history, cross_mask, has_history)
         return gather_at(out, positions)

@@ -13,6 +13,14 @@ prediction samples (one sample is a batch of one) runs:
    h_out_tau / h_out_p; step one ranks leaf tiles, step two ranks the
    POIs inside the top-K tiles.
 
+The encode is one pipeline in two stages: feed prep
+(:meth:`TSPNRA._encode_feeds`) turns a batch into padded arrays plus
+the knowledge rows, and :meth:`TSPNRA._encode_core` is the Tensor math
+over them.  Training and eager inference run both stages at the
+batch's exact shape; a compiled plan traces the same core at a rounded
+shape bucket and replays it over the same feed prep.  Eager runs and
+plan replays share one ranking tail (:meth:`TSPNRA.predict_batch`).
+
 All Table IV ablations are configuration switches
 (:class:`~repro.core.config.TSPNRAConfig`).
 """
@@ -20,11 +28,11 @@ All Table IV ablations are configuration switches
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..autograd import Tensor, concat, no_grad, pad_stack, trace
+from ..autograd import Tensor, concat, get_default_dtype, no_grad, pad_stack, trace
 from ..autograd.plan import Plan
 from ..data.trajectory import PredictionSample
 from ..graphs import QRPGraph, strip_edges
@@ -34,20 +42,13 @@ from ..serve.protocol import PredictorBase, PredictorResult, target_poi_of
 from ..utils.cache import LRUCache
 from ..utils.rng import default_rng, derive
 from .config import TSPNRAConfig
-from .encoders import SpatialEncoder, TemporalEncoder, spatial_encoding, time_slots
+from .encoders import TemporalEncoder, spatial_encoding, time_slots
 from .fusion import FusionModule
 from .hgat import HGATEncoder
 from .loss import arcface_loss_batch
 from .poi_embedding import POIEmbedder
 from .tile_embedding import ImageTileEmbedder, TableTileEmbedder
-from .two_step import (
-    candidate_pois,
-    cosine_similarities_batch,
-    normalize_rows,
-    rank_pois_batch,
-    rank_tiles_batch,
-    select_tiles,
-)
+from .two_step import candidate_pois, rank_pois_batch, rank_tiles_batch, select_tiles
 
 # The historic TSPN-RA-only result type is now the serve-wide one.
 PredictionResult = PredictorResult
@@ -61,10 +62,10 @@ class EncodePlan:
     """One captured encode plan plus everything its replay needs.
 
     ``tile_table`` / ``poi_table`` are the embedding tables cast to the
-    plan dtype (fed as plan inputs each run); ``leaf_norm`` /
-    ``poi_norm`` are the hoisted :func:`normalize_rows` ranking tables.
-    Instances are immutable snapshots of one ``weights_version`` —
-    caches key them accordingly (see ``repro.serve.plans``).
+    plan dtype: fed as plan inputs each run, and the tables the ranking
+    tail scores against.  Instances are immutable snapshots of one
+    ``weights_version`` — caches key them accordingly (see
+    ``repro.serve.plans``).
     """
 
     plan: Plan
@@ -72,8 +73,6 @@ class EncodePlan:
     dtype: np.dtype
     tile_table: np.ndarray
     poi_table: np.ndarray
-    leaf_norm: np.ndarray
-    poi_norm: np.ndarray
 
 
 class TSPNRA(Module, PredictorBase):
@@ -117,7 +116,6 @@ class TSPNRA(Module, PredictorBase):
             rng=rng,
         )
         if self.config.use_st_encoder:
-            self.spatial_encoder = SpatialEncoder(dim, scale=self.config.spatial_scale)
             self.tile_temporal = TemporalEncoder(dim, rng=rng)
             self.poi_temporal = TemporalEncoder(dim, rng=rng)
         if self.config.use_graph:
@@ -140,27 +138,24 @@ class TSPNRA(Module, PredictorBase):
         self._leaf_ids = list(tile_system.leaves())
         self._leaf_index = {leaf: i for i, leaf in enumerate(self._leaf_ids)}
         self._leaf_array = np.asarray(self._leaf_ids, dtype=np.int64)
-        # POI -> leaf-tile lookup table (filled lazily; lets the batched
-        # encode map a whole (batch, length) id array in one gather)
-        self._poi_leaf: Optional[np.ndarray] = None
+        # POI -> leaf-tile lookup table: feed prep maps a whole
+        # (batch, length) id array in one gather
+        self._poi_leaf = np.asarray(
+            [tile_system.leaf_of_poi(p) for p in range(num_pois)], dtype=np.int64
+        )
         # cache of (graph, HGAT edges) keyed by (user, trajectory index);
         # unbounded by default, swappable for a bounded LRU when serving
         self._graph_cache: LRUCache = LRUCache(maxsize=None)
-        # HGAT knowledge rows keyed (history_key, weights_version), used
-        # only by the compiled feed-prep stage: histories repeat across
-        # serving batches (every prefix of a trajectory shares one), so
-        # the graph pass — the one encode stage a plan cannot capture —
-        # amortises across requests.  weights_version in the key makes
-        # reloads invalidate naturally; the LRU bound ages out streams.
+        # HGAT knowledge rows keyed (history_key, weights_version), read
+        # only by plan replay (and the trace that builds a plan): histories
+        # repeat across serving batches (every prefix of a trajectory
+        # shares one), so the graph pass — the one encode stage a plan
+        # cannot capture — amortises across requests.  weights_version
+        # in the key makes reloads invalidate naturally; the LRU bound
+        # ages out streams.  Eager inference and training always
+        # compute knowledge fresh.
         self._knowledge_cache: LRUCache = LRUCache(maxsize=2048)
-        # step-two candidate sets keyed by the top-K tile tuple: the
-        # tile system is static after construction, and spatial locality
-        # makes the same top-K tuples recur across requests, so both the
-        # eager and compiled ranking tails share one memo (identical
-        # ranked lists either way — the cached value IS the candidate
-        # array the uncached path would build)
-        self._candidate_cache: LRUCache = LRUCache(maxsize=4096)
-        # per-dtype Eq. 4 code tables for the compiled feed-prep gather
+        # per-dtype Eq. 4 code tables for the feed-prep gather
         self._spatial_tables: Dict[str, np.ndarray] = {}
         self._negative_rng = derive(rng, 17)
 
@@ -242,14 +237,6 @@ class TSPNRA(Module, PredictorBase):
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
-    def _poi_leaf_table(self) -> np.ndarray:
-        if self._poi_leaf is None:
-            self._poi_leaf = np.asarray(
-                [self.tile_system.leaf_of_poi(p) for p in range(self.num_pois)],
-                dtype=np.int64,
-            )
-        return self._poi_leaf
-
     def _history_knowledge_batch(
         self,
         samples: Sequence[PredictionSample],
@@ -346,64 +333,147 @@ class TSPNRA(Module, PredictorBase):
     ) -> Tuple[Tensor, Tensor]:
         """Fused (h_out_tau, h_out_p) for a whole batch: ``(B, dim)`` each.
 
-        The one encode, shared by inference *and* training (a single
-        sample is a batch of one): prefixes are right-padded to the
-        batch maximum and run through the spatial/temporal encoders and
-        both fusion stacks as one ``(batch, seq, dim)`` tensor (causal
-        masking keeps padded positions out of every real position's
-        receptive field).  QR-P graph knowledge is computed per
-        *unique* history — graphs are heterogeneous and shared by every
-        sample of a trajectory — in one packed edge-list pass, then
-        right-padded on the autograd graph
-        (:func:`repro.autograd.pad_stack`) and masked for the batched
-        cross attention.  Under gradient tracking every op here is
-        differentiable, so :meth:`loss_batch` backpropagates one
-        padded mini-batch through the whole encode.
+        The encode of training and eager inference (a single sample is
+        a batch of one): feed prep (:meth:`_encode_feeds`) at the
+        batch's exact shape, then :meth:`_encode_core`.  QR-P graph
+        knowledge is computed fresh, per *unique* history — graphs are
+        heterogeneous and shared by every sample of a trajectory — in
+        one packed edge-list pass, never read from the plan-replay
+        cache.  Under gradient tracking every op here is differentiable,
+        including the knowledge padding, so :meth:`loss_batch`
+        backpropagates one padded mini-batch through the whole encode.
+        """
+        knowledge = None
+        if self.config.use_graph:
+            by_key = self._history_knowledge_batch(samples, tile_embeddings, poi_embeddings)
+            knowledge = [by_key[s.history_key] for s in samples]
+        feeds = self._encode_feeds(samples, knowledge)
+        return self._encode_core(feeds, tile_embeddings, poi_embeddings)
+
+    def _spatial_code_table(self, dtype) -> np.ndarray:
+        """Per-POI Eq. 4 codes as a static gather table.
+
+        The sinusoidal code is a pure elementwise function of each POI's
+        (fixed) location, so ``spatial_encoding(xy[ids])`` equals
+        ``table[ids]`` row for row, bit-identically.  Computed once per
+        dtype; feed prep then pays one gather per batch instead of
+        re-evaluating the trig.
+        """
+        key = np.dtype(dtype).str
+        table = self._spatial_tables.get(key)
+        if table is None:
+            table = spatial_encoding(
+                self.normalized_xy,
+                self.config.dim,
+                scale=self.config.spatial_scale,
+                dtype=dtype,
+            )
+            self._spatial_tables[key] = table
+        return table
+
+    def _encode_feeds(
+        self,
+        samples: Sequence[PredictionSample],
+        knowledge: Optional[Sequence[Tuple[Optional[Tensor], Optional[Tensor]]]],
+        bucket: Optional[Tuple[int, int, int, int]] = None,
+    ) -> Dict[str, Union[np.ndarray, Tensor]]:
+        """Feed prep: a batch -> the padded feeds :meth:`_encode_core` consumes.
+
+        Everything batch-dependent becomes an explicit feed here —
+        padded id grids, the Eq. 4 code, time-slot ids, gather
+        positions, the right-padded knowledge rows and their
+        pre-broadcast masks — so the core derives nothing batch-shaped
+        and a trace can capture it.  ``knowledge`` holds each sample's
+        ``(tile rows, POI rows)`` (``None`` for a side it lacks), or is
+        ``None`` when the batch has none.  The knowledge feeds are
+        Tensors padded by :func:`~repro.autograd.pad_stack`, so
+        gradients reach the HGAT; every other feed is a plain array.
+        ``bucket`` ``(B, L, H_tiles, H_pois)`` pads to a plan's traced
+        shape; ``None`` pads to the batch's own maxima.  Padded batch
+        rows get a length-1 all-zeros prefix and no knowledge; causal
+        masking plus the final gather keep them out of every real
+        sample's values.
         """
         batch = len(samples)
         lengths = np.asarray([len(s.prefix) for s in samples], dtype=np.int64)
         if lengths.min() < 1:
-            raise ValueError("encode_batch needs non-empty prefixes")
-        l_max = int(lengths.max())
-        prefix_ids = np.zeros((batch, l_max), dtype=np.int64)
-        timestamps = np.zeros((batch, l_max), dtype=np.float64)
-        for i, sample in enumerate(samples):
-            ids = sample.prefix_poi_ids
-            prefix_ids[i, : len(ids)] = ids
-            timestamps[i, : len(ids)] = [v.timestamp for v in sample.prefix]
-        tile_ids = self._poi_leaf_table()[prefix_ids]
-
-        tile_sequence = tile_embeddings[tile_ids]  # (B, L, dim)
-        poi_sequence = poi_embeddings[prefix_ids]
-        if self.config.use_st_encoder:
-            locations = self.normalized_xy[prefix_ids]  # (B, L, 2)
-            tile_sequence = self.spatial_encoder(tile_sequence, locations)
-            tile_sequence = self.tile_temporal(tile_sequence, timestamps)
-            poi_sequence = self.poi_temporal(poi_sequence, timestamps)
-
-        history_tiles = history_pois = None
-        tile_mask = poi_mask = None
-        if self.config.use_graph:
-            knowledge = self._history_knowledge_batch(
-                samples, tile_embeddings, poi_embeddings
+            raise ValueError("encoding needs non-empty prefixes")
+        sides = list(zip(*knowledge)) if knowledge is not None else [(), ()]
+        if bucket is None:
+            widths = [
+                max((0 if rows is None else rows.shape[0] for rows in side), default=0)
+                for side in sides
+            ]
+            bucket = (batch, int(lengths.max()), *widths)
+        b_pad, l_pad, ht, hp = bucket
+        if batch > b_pad or lengths.max() > l_pad:
+            raise ValueError(
+                f"batch of {batch} (longest prefix {lengths.max()}) exceeds bucket {bucket}"
             )
-            per_sample = [knowledge[s.history_key] for s in samples]
-            n_tiles = [0 if k[0] is None else k[0].shape[0] for k in per_sample]
-            n_pois = [0 if k[1] is None else k[1].shape[0] for k in per_sample]
-            if max(n_tiles, default=0) > 0:
-                history_tiles = pad_stack([k[0] for k in per_sample], self.config.dim)
-                tile_mask = key_padding_mask(n_tiles, max(n_tiles))
-            if max(n_pois, default=0) > 0:
-                history_pois = pad_stack([k[1] for k in per_sample], self.config.dim)
-                poi_mask = key_padding_mask(n_pois, max(n_pois))
+        prefix_ids = np.zeros((b_pad, l_pad), dtype=np.int64)
+        timestamps = np.zeros((b_pad, l_pad), dtype=np.float64)
+        for i, sample in enumerate(samples):
+            prefix_ids[i, : lengths[i]] = sample.prefix_poi_ids
+            timestamps[i, : lengths[i]] = [v.timestamp for v in sample.prefix]
+        positions = np.zeros(b_pad, dtype=np.int64)
+        positions[:batch] = lengths - 1
+        feeds: Dict[str, Union[np.ndarray, Tensor]] = {
+            "prefix_ids": prefix_ids,
+            "tile_ids": self._poi_leaf[prefix_ids],
+            "positions": positions,
+        }
+        if self.config.use_st_encoder:
+            code = self._spatial_code_table(get_default_dtype())
+            feeds["spatial_code"] = code[prefix_ids]
+            feeds["time_slot_ids"] = time_slots(timestamps)
+        for name, width, side in (("tiles", ht, sides[0]), ("pois", hp, sides[1])):
+            if not width:
+                continue
+            padded = list(side) + [None] * (b_pad - batch)
+            counts = [0 if rows is None else rows.shape[0] for rows in padded]
+            mask = key_padding_mask(counts, width)
+            feeds[f"history_{name}"] = pad_stack(padded, self.config.dim, pad_to=width)
+            feeds[f"{name}_mask"] = mask[:, None, None, :]
+            feeds[f"has_{name}"] = (~mask.all(axis=1))[:, None, None]
+        return feeds
 
-        tile_output = self.fusion_tile.forward_batch(
-            tile_sequence, lengths, history_tiles, tile_mask
+    def _encode_core(
+        self,
+        feeds: Dict[str, Union[np.ndarray, Tensor]],
+        tile_embeddings: Tensor,
+        poi_embeddings: Tensor,
+    ) -> Tuple[Tensor, Tensor]:
+        """The encode's Tensor math over :meth:`_encode_feeds` feeds.
+
+        Embedding gathers, the Eq. 4 code and the Mt slot embeddings,
+        then both fusion stacks, each ending in the per-sample position
+        gather.  Nothing batch-shaped is derived here (the causal mask
+        depends only on the padded length), so the same function runs
+        eagerly at a batch's exact shape (:meth:`encode_batch`) and is
+        traced once per shape bucket into a plan
+        (:meth:`build_encode_plan`).
+        """
+        tile_sequence = tile_embeddings[feeds["tile_ids"]]  # (B, L, dim)
+        poi_sequence = poi_embeddings[feeds["prefix_ids"]]
+        if self.config.use_st_encoder:
+            tile_sequence = tile_sequence + Tensor(feeds["spatial_code"])
+            tile_sequence = self.tile_temporal(tile_sequence, feeds["time_slot_ids"])
+            poi_sequence = self.poi_temporal(poi_sequence, feeds["time_slot_ids"])
+        causal = causal_mask(feeds["prefix_ids"].shape[1])[None, None, :, :]
+        return tuple(
+            fusion.forward_batch(
+                sequence,
+                feeds["positions"],
+                causal,
+                feeds.get(f"history_{name}"),
+                feeds.get(f"{name}_mask"),
+                feeds.get(f"has_{name}"),
+            )
+            for fusion, sequence, name in (
+                (self.fusion_tile, tile_sequence, "tiles"),
+                (self.fusion_poi, poi_sequence, "pois"),
+            )
         )
-        poi_output = self.fusion_poi.forward_batch(
-            poi_sequence, lengths, history_pois, poi_mask
-        )
-        return tile_output, poi_output
 
     # ------------------------------------------------------------------
     # training loss
@@ -461,7 +531,7 @@ class TSPNRA(Module, PredictorBase):
         leaf_embeddings = tile_embeddings[self._leaf_array]
 
         target_pois = np.asarray([s.target.poi_id for s in samples], dtype=np.int64)
-        target_leaves = self._poi_leaf_table()[target_pois]
+        target_leaves = self._poi_leaf[target_pois]
         leaf_positions = np.asarray(
             [self._leaf_index[int(leaf)] for leaf in target_leaves], dtype=np.int64
         )
@@ -511,14 +581,19 @@ class TSPNRA(Module, PredictorBase):
         tile_embeddings: Optional[Tensor] = None,
         poi_embeddings: Optional[Tensor] = None,
         k: Optional[int] = None,
+        plan: Optional[EncodePlan] = None,
     ) -> List[PredictorResult]:
         """Rank tiles then POIs for a batch (no gradients).
 
         The one inference implementation (``predict`` is a batch of
-        one): one padded-batch encode (:meth:`encode_batch`), one matmul
-        over the leaf-embedding table for step one and one over the full
-        POI table for step two.  Padding never reaches a real row, so
-        each sample's ranked lists equal those of its batch of one.
+        one).  The encode is :meth:`encode_batch`, or — given ``plan``,
+        the :class:`EncodePlan` of this batch's shape bucket (see
+        ``repro.serve.plans``) — a replay of that plan over the same
+        feed prep.  Then one matmul over the leaf table ranks the tiles
+        and one over the full POI table ranks the POIs inside the top-K
+        tiles.  Padding never reaches a real row, so each sample's
+        ranked lists equal those of its batch of one; a float64 plan
+        gives the eager ranked lists bit for bit.
         """
         if not samples:
             return []
@@ -526,86 +601,44 @@ class TSPNRA(Module, PredictorBase):
         with no_grad():
             if tile_embeddings is None or poi_embeddings is None:
                 tile_embeddings, poi_embeddings = self.compute_embeddings()
-            with span("encode", batch_size=len(samples)):
-                tile_outputs, poi_outputs = self.encode_batch(
-                    samples, tile_embeddings, poi_embeddings
-                )
+            if plan is None:
+                with span("encode", batch_size=len(samples)):
+                    tile_outputs, poi_outputs = self.encode_batch(
+                        samples, tile_embeddings, poi_embeddings
+                    )
+                tile_outputs, poi_outputs = tile_outputs.data, poi_outputs.data
+                tile_table, poi_table = tile_embeddings.data, poi_embeddings.data
+            else:
+                with span("plan.replay", batch_size=len(samples), dtype=str(plan.dtype)):
+                    tile_outputs, poi_outputs = self._replay(
+                        samples, plan, tile_embeddings, poi_embeddings
+                    )
+                tile_table, poi_table = plan.tile_table, plan.poi_table
             with span("rank.two_step", two_step=self.config.use_two_step):
-                leaf_embeddings = tile_embeddings.data[self._leaf_array]
                 ranked_tiles_all = rank_tiles_batch(
-                    tile_outputs.data, leaf_embeddings, self._leaf_ids
+                    tile_outputs, tile_table[self._leaf_array], self._leaf_ids
                 )
                 if self.config.use_two_step:
                     candidate_lists = [
-                        self._candidates_for(ranked, k) for ranked in ranked_tiles_all
+                        candidate_pois(self.tile_system, ranked[:k])
+                        for ranked in ranked_tiles_all
                     ]
                 else:
                     candidate_lists = [list(range(self.num_pois))] * len(samples)
-                ranked_pois_all = rank_pois_batch(
-                    poi_outputs.data, poi_embeddings.data, candidate_lists
-                )
-        return self._results(samples, ranked_tiles_all, ranked_pois_all)
-
-    def _spatial_code_table(self, dtype) -> np.ndarray:
-        """Per-POI Eq. 4 codes as a static gather table.
-
-        The sinusoidal code is a pure elementwise function of each POI's
-        (fixed) location, so ``spatial_encoding(xy[ids])`` equals
-        ``table[ids]`` row for row, bit-identically.  Computed once per
-        dtype; the compiled feed-prep stage then pays one gather per
-        batch instead of re-evaluating the trig.
-        """
-        key = np.dtype(dtype).str
-        table = self._spatial_tables.get(key)
-        if table is None:
-            table = spatial_encoding(
-                self.normalized_xy,
-                self.config.dim,
-                scale=self.spatial_encoder.scale,
-                dtype=dtype,
-            )
-            self._spatial_tables[key] = table
-        return table
-
-    def _candidates_for(self, ranked_tiles: Sequence[int], k: int) -> np.ndarray:
-        """Step-two candidate ids for a ranked tile list, memoised.
-
-        Same POIs in the same order as calling
-        :func:`candidate_pois` directly — the memo only skips the
-        repeated per-leaf list walk for top-K tuples already seen.
-        Returned arrays are shared cache entries: callers read, never
-        mutate.
-        """
-        key = tuple(ranked_tiles[:k])
-        cached = self._candidate_cache.get(key)
-        if cached is None:
-            cached = np.asarray(
-                candidate_pois(self.tile_system, key), dtype=np.int64
-            )
-            self._candidate_cache.put(key, cached)
-        return cached
-
-    def _results(
-        self,
-        samples: Sequence[PredictionSample],
-        ranked_tiles_all: Sequence[List[int]],
-        ranked_pois_all: Sequence[List[int]],
-    ) -> List[PredictorResult]:
-        """Ranked lists -> :class:`PredictorResult`s (shared eager/compiled tail)."""
+                ranked_pois_all = rank_pois_batch(poi_outputs, poi_table, candidate_lists)
         results: List[PredictorResult] = []
         for sample, ranked_tiles, ranked_pois in zip(
             samples, ranked_tiles_all, ranked_pois_all
         ):
             target_poi = target_poi_of(sample)
-            target_tile = (
-                self.tile_system.leaf_of_poi(target_poi) if target_poi >= 0 else -1
-            )
             results.append(
                 PredictorResult(
                     ranked_pois=ranked_pois,
                     target_poi=target_poi,
                     ranked_tiles=ranked_tiles,
-                    target_tile=target_tile,
+                    target_tile=(
+                        self.tile_system.leaf_of_poi(target_poi) if target_poi >= 0 else -1
+                    ),
                     num_pois=self.num_pois,
                 )
             )
@@ -624,9 +657,9 @@ class TSPNRA(Module, PredictorBase):
         tight: self-attention is O(L²), so padding L to the next power
         of two (up to 2× the real length) costs more wall-clock than
         the extra traces a multiple-of-4 grid pays for.  A width of 0
-        means *no sample has that kind of knowledge*, which traces a
-        plan variant without the cross-attention stage, exactly
-        mirroring the eager ``history is None`` branch.
+        means *no sample has that kind of knowledge*: feed prep then
+        emits no knowledge feeds, and the plan has no cross-attention
+        stage, as in an eager encode of such a batch.
         """
         if not samples:
             raise ValueError("plan_bucket needs a non-empty batch")
@@ -665,8 +698,8 @@ class TSPNRA(Module, PredictorBase):
         samples: Sequence[PredictionSample],
         tile_embeddings: Tensor,
         poi_embeddings: Tensor,
-    ) -> List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]:
-        """Per-sample HGAT knowledge rows as plain arrays, LRU-cached.
+    ) -> List[Tuple[Optional[Tensor], Optional[Tensor]]]:
+        """Per-sample HGAT knowledge rows for plan replay, LRU-cached.
 
         Cache misses are computed in one :meth:`_history_knowledge_batch`
         call (one packed HGAT pass).  No attention crosses graph
@@ -680,150 +713,34 @@ class TSPNRA(Module, PredictorBase):
         version = self.weights_version()
         by_key: Dict = {}
         missing: List[PredictionSample] = []
-        queued = set()
         for sample in samples:
             key = sample.history_key
-            if key in by_key or key in queued:
+            if key in by_key:
                 continue
-            hit = self._knowledge_cache.get((key, version))
-            if hit is not None:
-                by_key[key] = hit
-            else:
-                queued.add(key)
+            by_key[key] = self._knowledge_cache.get((key, version))
+            if by_key[key] is None:
                 missing.append(sample)
         if missing:
             knowledge = self._history_knowledge_batch(
                 missing, tile_embeddings, poi_embeddings
             )
-            for key, (tiles, pois) in knowledge.items():
-                rows = (
-                    None if tiles is None else np.asarray(tiles.data),
-                    None if pois is None else np.asarray(pois.data),
-                )
+            for key, rows in knowledge.items():
                 self._knowledge_cache.put((key, version), rows)
                 by_key[key] = rows
         return [by_key[s.history_key] for s in samples]
 
-    def _encode_plan_feeds(
+    def _plan_feeds(
         self,
         samples: Sequence[PredictionSample],
         bucket: Tuple[int, int, int, int],
-        dtype: np.dtype,
         tile_embeddings: Tensor,
         poi_embeddings: Tensor,
-    ) -> Dict[str, np.ndarray]:
-        """Stage one of the compiled encode: batch -> padded feed arrays.
-
-        Everything batch-dependent becomes an explicit array here —
-        padded id/timestamp grids, the Eq. 4 spatial code, gather
-        positions, knowledge rows and their pre-broadcast masks — so
-        stage two (:meth:`_encode_core`) is a pure function a trace can
-        capture.  Padded batch rows get a length-1 all-zeros prefix and
-        no knowledge; causal masking plus the final gather keep them
-        out of every real sample's values.
-        """
-        b_pad, l_pad, ht, hp = bucket
-        batch = len(samples)
-        if batch > b_pad:
-            raise ValueError(f"batch of {batch} exceeds bucket {bucket}")
-        lengths = np.ones(b_pad, dtype=np.int64)
-        prefix_ids = np.zeros((b_pad, l_pad), dtype=np.int64)
-        timestamps = np.zeros((b_pad, l_pad), dtype=np.float64)
-        for i, sample in enumerate(samples):
-            ids = sample.prefix_poi_ids
-            if len(ids) > l_pad:
-                raise ValueError(f"prefix of {len(ids)} exceeds bucket {bucket}")
-            prefix_ids[i, : len(ids)] = ids
-            timestamps[i, : len(ids)] = [v.timestamp for v in sample.prefix]
-            lengths[i] = len(ids)
-        feeds: Dict[str, np.ndarray] = {
-            "prefix_ids": prefix_ids,
-            "tile_ids": self._poi_leaf_table()[prefix_ids],
-            "positions": lengths - 1,
-        }
-        if self.config.use_st_encoder:
-            feeds["spatial_code"] = self._spatial_code_table(dtype)[prefix_ids]
-            feeds["time_slot_ids"] = time_slots(timestamps)
-        if ht or hp:
-            rows = self._knowledge_rows(samples, tile_embeddings, poi_embeddings)
-            for name, width, side in (("tiles", ht, 0), ("pois", hp, 1)):
-                if not width:
-                    continue
-                history = np.zeros((b_pad, width, self.config.dim), dtype=dtype)
-                counts = np.zeros(b_pad, dtype=np.int64)
-                for i, per_sample in enumerate(rows):
-                    knowledge = per_sample[side]
-                    if knowledge is None or not len(knowledge):
-                        continue
-                    if len(knowledge) > width:
-                        raise ValueError(
-                            f"{name} knowledge of {len(knowledge)} exceeds bucket {bucket}"
-                        )
-                    history[i, : len(knowledge)] = knowledge
-                    counts[i] = len(knowledge)
-                mask = key_padding_mask(counts, width)
-                feeds[f"history_{name}"] = history
-                feeds[f"{name}_mask"] = mask[:, None, None, :]
-                feeds[f"has_{name}"] = (~mask.all(axis=1))[:, None, None]
-        return feeds
-
-    def _encode_core(
-        self,
-        feeds: Dict[str, np.ndarray],
-        tile_embeddings: Tensor,
-        poi_embeddings: Tensor,
-        bucket: Tuple[int, int, int, int],
-    ) -> Tuple[Tensor, Tensor]:
-        """Stage two of the compiled encode: pure Tensor math over feeds.
-
-        Runs the exact op sequence of :meth:`encode_batch` — embedding
-        gathers, spatial/temporal encoders, both fusion stacks, final
-        position gather — but consumes only the :meth:`_encode_plan_feeds`
-        arrays plus the embedding tables, deriving nothing batch-shaped
-        internally.  Traced once per bucket it becomes a :class:`Plan`;
-        run eagerly it reproduces ``encode_batch`` values bit-for-bit on
-        the real (unpadded) rows.
-        """
-        _, l_pad, ht, hp = bucket
-        tile_sequence = tile_embeddings[feeds["tile_ids"]]  # (B, L, dim)
-        poi_sequence = poi_embeddings[feeds["prefix_ids"]]
-        if self.config.use_st_encoder:
-            tile_sequence = tile_sequence + Tensor(feeds["spatial_code"])
-            tile_sequence = tile_sequence + self.tile_temporal.slots(
-                feeds["time_slot_ids"]
-            )
-            poi_sequence = poi_sequence + self.poi_temporal.slots(
-                feeds["time_slot_ids"]
-            )
-        causal = causal_mask(l_pad)[None, None, :, :]
-        positions = feeds["positions"]
-        if ht:
-            tile_output = self.fusion_tile.forward_batch_core(
-                tile_sequence,
-                positions,
-                causal,
-                Tensor(feeds["history_tiles"]),
-                feeds["tiles_mask"],
-                feeds["has_tiles"],
-            )
-        else:
-            tile_output = self.fusion_tile.forward_batch_core(
-                tile_sequence, positions, causal
-            )
-        if hp:
-            poi_output = self.fusion_poi.forward_batch_core(
-                poi_sequence,
-                positions,
-                causal,
-                Tensor(feeds["history_pois"]),
-                feeds["pois_mask"],
-                feeds["has_pois"],
-            )
-        else:
-            poi_output = self.fusion_poi.forward_batch_core(
-                poi_sequence, positions, causal
-            )
-        return tile_output, poi_output
+    ) -> Dict[str, Union[np.ndarray, Tensor]]:
+        """Feed prep at a plan's bucket, knowledge from the replay cache."""
+        knowledge = None
+        if bucket[2] or bucket[3]:
+            knowledge = self._knowledge_rows(samples, tile_embeddings, poi_embeddings)
+        return self._encode_feeds(samples, knowledge, bucket)
 
     def build_encode_plan(
         self,
@@ -833,15 +750,15 @@ class TSPNRA(Module, PredictorBase):
         tile_embeddings: Tensor,
         poi_embeddings: Tensor,
     ) -> "EncodePlan":
-        """Trace the encode hot path for one shape bucket into a plan.
+        """Trace :meth:`_encode_core` for one shape bucket into a plan.
 
-        The embedding tables are declared as plan *inputs* (they change
+        The feeds are :meth:`_encode_feeds` at ``bucket``, declared as
+        plan inputs.  The embedding tables are inputs too (they change
         on reload, and baking them would double their memory); every
-        parameter inside the fusion stacks is baked, with parameter-only
-        subexpressions constant-folded at finalize.  Verification replays
-        the plan on the trace batch — bit-exact for float64.  Also
-        hoists the :func:`normalize_rows` ranking tables so the ranking
-        tail skips the per-batch renormalisation.
+        parameter inside the fusion stacks is baked, with
+        parameter-only subexpressions constant-folded at finalize.
+        Verification replays the plan on the trace batch — bit-exact
+        for float64.
         """
         dtype = np.dtype(dtype)
         with no_grad():
@@ -851,85 +768,41 @@ class TSPNRA(Module, PredictorBase):
                 tile_table = tile_table.astype(dtype)
             if poi_table.dtype != dtype:
                 poi_table = poi_table.astype(dtype)
-            feeds = self._encode_plan_feeds(
-                samples, bucket, dtype, tile_embeddings, poi_embeddings
-            )
+            feeds = self._plan_feeds(samples, bucket, tile_embeddings, poi_embeddings)
             with trace(dtype) as tracer:
-                traced = {name: tracer.input(name, array) for name, array in feeds.items()}
+                traced = {
+                    name: (
+                        Tensor(tracer.input(name, feed.data))
+                        if isinstance(feed, Tensor)
+                        else tracer.input(name, feed)
+                    )
+                    for name, feed in feeds.items()
+                }
                 tile_input = Tensor(tracer.input("tile_table", tile_table))
                 poi_input = Tensor(tracer.input("poi_table", poi_table))
-                tile_output, poi_output = self._encode_core(
-                    traced, tile_input, poi_input, bucket
-                )
+                tile_output, poi_output = self._encode_core(traced, tile_input, poi_input)
             plan = tracer.finalize([tile_output, poi_output])
         return EncodePlan(
-            plan=plan,
-            bucket=bucket,
-            dtype=dtype,
-            tile_table=tile_table,
-            poi_table=poi_table,
-            leaf_norm=normalize_rows(tile_table[self._leaf_array]),
-            poi_norm=normalize_rows(poi_table),
+            plan=plan, bucket=bucket, dtype=dtype, tile_table=tile_table, poi_table=poi_table
         )
 
-    def predict_batch_compiled(
+    def _replay(
         self,
         samples: Sequence[PredictionSample],
         entry: "EncodePlan",
         tile_embeddings: Tensor,
         poi_embeddings: Tensor,
-        k: Optional[int] = None,
-    ) -> List[PredictorResult]:
-        """:meth:`predict_batch` through a captured plan (no graph, no
-        Tensor wrappers on the hot path).
-
-        Feed prep and the ranking tail share every expression with the
-        eager path (same padding maths, same :func:`normalize_rows`
-        tables), so a float64 plan yields bit-identical ranked lists;
-        float32 plans trade the documented tolerance for bandwidth.
-        """
-        if not samples:
-            return []
-        k = k if k is not None else self.config.top_k
-        with no_grad():
-            with span(
-                "plan.replay", batch_size=len(samples), dtype=str(entry.dtype)
-            ):
-                feeds = self._encode_plan_feeds(
-                    samples, entry.bucket, entry.dtype, tile_embeddings, poi_embeddings
-                )
-                feeds["tile_table"] = entry.tile_table
-                feeds["poi_table"] = entry.poi_table
-                tile_out, poi_out = entry.plan.run(feeds)
-            with span("rank.two_step", two_step=self.config.use_two_step):
-                batch = len(samples)
-                tile_out = np.asarray(tile_out)[:batch]
-                poi_out = np.asarray(poi_out)[:batch]
-                ranked_tiles_all = rank_tiles_batch(
-                    tile_out, entry.leaf_norm, self._leaf_ids, candidates_normalized=True
-                )
-                if self.config.use_two_step:
-                    candidate_lists = [
-                        self._candidates_for(ranked, k) for ranked in ranked_tiles_all
-                    ]
-                else:
-                    candidate_lists = [list(range(self.num_pois))] * batch
-                ranked_pois_all = rank_pois_batch(
-                    poi_out, entry.poi_norm, candidate_lists, candidates_normalized=True
-                )
-        return self._results(samples, ranked_tiles_all, ranked_pois_all)
-
-    def score_candidates(
-        self, sample: PredictionSample, candidate_ids: Sequence[int], *shared
-    ) -> np.ndarray:
-        """Cosine scores of h_out_p against the given candidate POIs."""
-        with no_grad():
-            tile_embeddings, poi_embeddings = shared if shared else self.compute_embeddings()
-            _, poi_output = self.encode_batch([sample], tile_embeddings, poi_embeddings)
-            candidate_array = np.asarray(candidate_ids, dtype=np.int64)
-            return cosine_similarities_batch(
-                poi_output.data, poi_embeddings.data[candidate_array]
-            )[0]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(h_out_tau, h_out_p) rows for ``samples`` from a plan replay."""
+        feeds = self._plan_feeds(samples, entry.bucket, tile_embeddings, poi_embeddings)
+        arrays = {
+            name: feed.data if isinstance(feed, Tensor) else feed for name, feed in feeds.items()
+        }
+        arrays["tile_table"] = entry.tile_table
+        arrays["poi_table"] = entry.poi_table
+        tile_out, poi_out = entry.plan.run(arrays)
+        batch = len(samples)
+        return np.asarray(tile_out)[:batch], np.asarray(poi_out)[:batch]
 
     def clear_graph_cache(self) -> None:
         self._graph_cache.clear()

@@ -21,13 +21,7 @@ from ..serve.protocol import rank_of_target  # noqa: F401  (canonical home; re-e
 
 
 def normalize_rows(candidates: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit L2 norm — the candidate half of every cosine.
-
-    This is *the* normalisation expression used by all ranking paths;
-    the compiled serving path hoists it per ``weights_version`` (the
-    tables only change on reload), and sharing one function keeps the
-    hoisted tables bit-identical to the per-batch eager computation.
-    """
+    """Rows scaled to unit L2 norm — the candidate half of every cosine."""
     return candidates / (np.linalg.norm(candidates, axis=1, keepdims=True) + 1e-12)
 
 
@@ -59,34 +53,23 @@ def candidate_pois(tile_system, top_tiles: Sequence[int]) -> List[int]:
 # ----------------------------------------------------------------------
 # batched ranking (the inference path)
 # ----------------------------------------------------------------------
-def cosine_similarities_batch(
-    outputs: np.ndarray,
-    candidates: np.ndarray,
-    candidates_normalized: bool = False,
-) -> np.ndarray:
+def cosine_similarities_batch(outputs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """cos(theta) between each output row and each candidate row.
 
     ``outputs``: ``(batch, dim)``; ``candidates``: ``(n, dim)``;
     returns ``(batch, n)`` — one matmul instead of a per-sample loop.
-    ``candidates_normalized`` marks ``candidates`` as already being a
-    :func:`normalize_rows` result (the compiled path's hoisted tables),
-    skipping the per-batch renormalisation bit-identically.
     """
     out_norm = outputs / (np.linalg.norm(outputs, axis=1, keepdims=True) + 1e-12)
-    cand_norm = candidates if candidates_normalized else normalize_rows(candidates)
-    return out_norm @ cand_norm.T
+    return out_norm @ normalize_rows(candidates).T
 
 
 def rank_tiles_batch(
     tile_outputs: np.ndarray,
     leaf_embeddings: np.ndarray,
     leaf_ids: Sequence[int],
-    candidates_normalized: bool = False,
 ) -> List[List[int]]:
     """Step one for a batch: the full ranked tile list per sample."""
-    scores = cosine_similarities_batch(
-        tile_outputs, leaf_embeddings, candidates_normalized=candidates_normalized
-    )
+    scores = cosine_similarities_batch(tile_outputs, leaf_embeddings)
     orders = np.argsort(-scores, axis=1, kind="stable")
     # one fancy-index + tolist instead of a per-sample Python loop;
     # same ids in the same order
@@ -98,7 +81,6 @@ def rank_pois_batch(
     poi_outputs: np.ndarray,
     poi_embeddings: np.ndarray,
     candidate_lists: Sequence[Sequence[int]],
-    candidates_normalized: bool = False,
 ) -> List[List[int]]:
     """Step two for a batch of per-sample candidate sets.
 
@@ -108,9 +90,7 @@ def rank_pois_batch(
     kind="stable")`` per row, because cosine scores are
     row-independent.
     """
-    scores = cosine_similarities_batch(
-        poi_outputs, poi_embeddings, candidates_normalized=candidates_normalized
-    )
+    scores = cosine_similarities_batch(poi_outputs, poi_embeddings)
     lengths = [len(c) for c in candidate_lists]
     width = max(lengths, default=0)
     if width == 0:

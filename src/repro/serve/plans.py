@@ -5,7 +5,10 @@ LRU-bounded cache of :class:`~repro.core.model.EncodePlan` entries
 keyed ``(weights_version, dtype, shape_bucket)``.  One cache is shared
 by every worker of an :class:`~repro.serve.server.InferenceServer` —
 replicas share parameter objects, so a plan traced by one worker is
-valid (and bit-identical) for all of them.
+valid (and bit-identical) for all of them.  An entry is what the
+model's ``predict_batch`` takes as ``plan=``: it replays the plan in
+place of the eager encode, over the same feed prep and into the same
+ranking tail.
 
 Fallback ladder, never an error:
 
@@ -33,7 +36,7 @@ from ..obs.tracing import current_trace
 
 __all__ = ["PlanCache", "supports_plans"]
 
-_PLAN_METHODS = ("plan_bucket", "build_encode_plan", "predict_batch_compiled")
+_PLAN_METHODS = ("plan_bucket", "build_encode_plan")
 
 # Cached marker for buckets whose trace failed: serve those eagerly
 # without re-tracing every batch.
@@ -41,7 +44,12 @@ _EAGER = object()
 
 
 def supports_plans(model) -> bool:
-    """Whether ``model`` exposes the compiled-inference surface."""
+    """Whether ``model`` exposes the compiled-inference surface.
+
+    That is ``plan_bucket`` and ``build_encode_plan``; the model's
+    ``predict_batch`` then replays a built entry when passed it as
+    ``plan=``.
+    """
     return all(callable(getattr(model, name, None)) for name in _PLAN_METHODS)
 
 

@@ -293,8 +293,9 @@ class Predictor:
         Shared embeddings come from the cache; the model's
         ``predict_batch`` encodes the whole batch at once (each result
         equals that of the sample's batch of one).  With compilation
-        on, the batch instead replays the cached plan for its shape
-        bucket (tracing it first if cold) — ranked lists are
+        on, the plan cache's entry for the batch's shape bucket (traced
+        first if cold) goes to ``predict_batch`` as ``plan=``, which
+        replays it in place of the eager encode — ranked lists are
         bit-identical for float64 plans, and any bucket the tracer
         cannot capture falls back to eager automatically.  Inference
         runs under ``no_grad``, where dropout is the identity, so the
@@ -304,17 +305,13 @@ class Predictor:
         start = time.perf_counter()
         with no_grad():
             version, shared = self.shared_state_versioned()
-            results = None
+            plan = None
             if self.plan_cache is not None and samples:
-                entry = self.plan_cache.entry_for(
+                plan = self.plan_cache.entry_for(
                     self.model, samples, *shared, version=version
                 )
-                if entry is not None:
-                    results = self.model.predict_batch_compiled(
-                        samples, entry, *shared, k=k
-                    )
-            if results is None:
-                results = self.model.predict_batch(samples, *shared, k=k)
+            replay = {} if plan is None else {"plan": plan}
+            results = self.model.predict_batch(samples, *shared, k=k, **replay)
         self.stats.record_batch(time.perf_counter() - start, len(results))
         if self.quality is not None:
             # record *before* the results leave the facade: by the time

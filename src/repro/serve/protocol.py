@@ -7,7 +7,7 @@ collapses them into one contract:
 
 * one result type, :class:`PredictorResult` (tile fields optional for
   models without a tile-selection step);
-* one protocol, :class:`PredictorProtocol` — score candidates, ranked
+* one protocol, :class:`PredictorProtocol` — batched ranking, ranked
   top-k, rank-of-target, plus the shared-state convention
   (``compute_embeddings``) that stateless models satisfy trivially by
   returning ``()``;
@@ -18,6 +18,7 @@ collapses them into one contract:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -113,9 +114,6 @@ class PredictorProtocol(Protocol):
     ) -> List[PredictorResult]:
         ...
 
-    def score_candidates(self, sample, candidate_ids, *shared) -> np.ndarray:
-        ...
-
     def top_k(self, sample, k: int, *shared) -> List[int]:
         ...
 
@@ -129,8 +127,7 @@ class PredictorProtocol(Protocol):
 class PredictorBase:
     """Default implementations of the derived protocol methods.
 
-    Subclasses implement ``predict_batch`` and ``score_candidates``;
-    models with shared state override ``compute_embeddings`` (and, when
+    Subclasses implement ``predict_batch``; models with shared state override ``compute_embeddings`` (and, when
     they hold trainable weights outside :class:`repro.nn.Module`, the
     persistence hooks).
     """
@@ -153,9 +150,6 @@ class PredictorBase:
         Padding must never reach a real row: each sample's result
         equals that of its batch of one.
         """
-        raise NotImplementedError
-
-    def score_candidates(self, sample, candidate_ids, *shared) -> np.ndarray:
         raise NotImplementedError
 
     def loss_batch(self, samples, *shared):
@@ -236,6 +230,8 @@ def _visit_from_json(entry, position: int, num_pois: Optional[int], where: str) 
         raise ValueError(f"{where}[{position}].poi_id must be an integer")
     if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
         raise ValueError(f"{where}[{position}].timestamp must be a number")
+    if not abs(timestamp) <= sys.float_info.max:  # NaN, ±inf, ints past float range
+        raise ValueError(f"{where}[{position}].timestamp must be finite")
     if poi_id < 0 or (num_pois is not None and poi_id >= num_pois):
         raise ValueError(
             f"{where}[{position}].poi_id {poi_id} outside the POI universe"

@@ -32,9 +32,10 @@ requests ride the same micro-batching scheduler side by side.
 
 Request identity: a request's result is exactly what a direct
 ``Predictor.predict_batch([sample])`` would return — micro-batch
-composition is invisible because the batched encode is equivalence-
-tested against the per-sample loop (PR 2), so *any* batching of
-requests yields identical per-request rankings.
+composition is invisible because padding never reaches a real row:
+each row of a batched encode equals that sample's batch of one (the
+equivalence tests check it), so *any* batching of requests yields
+identical per-request rankings.
 
 Failure containment: a batch that raises fails only its own requests
 (their futures carry the exception); the worker survives and keeps
@@ -222,10 +223,6 @@ class InferenceServer:
         self.dataset = dataset
         self._primary = model
         model.eval()
-        # Warm lazy shared tables on the primary before replication so
-        # workers never race the first-touch builds.
-        if hasattr(model, "_poi_leaf_table"):
-            model._poi_leaf_table()
         # One registry for the whole runtime: the scheduler, plan cache,
         # worker stats, and stream pipeline all register their
         # instruments here, so /stats and /metrics are two renderings

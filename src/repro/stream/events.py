@@ -11,7 +11,7 @@ gets its own 400 instead of corrupting per-user state.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -71,7 +71,7 @@ def event_from_json(payload: Dict, num_pois: Optional[int] = None) -> CheckinEve
     timestamp = payload.get("timestamp")
     if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
         raise ValueError("timestamp must be a number (hours)")
-    if not math.isfinite(timestamp):
+    if not abs(timestamp) <= sys.float_info.max:  # NaN, ±inf, ints past float range
         raise ValueError("timestamp must be finite")
     return CheckinEvent(user_id=user_id, poi_id=int(poi_id), timestamp=float(timestamp))
 

@@ -7,11 +7,15 @@ ack-is-commit ordering, shared-memory weight adoption, and the
 consistent-hash ring's determinism and balance.
 """
 
+import json
 import logging
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     DurableIngest,
@@ -33,7 +37,7 @@ from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
 from repro.data.trajectory import PredictionSample
 from repro.serve.predictor import Predictor
-from repro.stream.events import CheckinEvent
+from repro.stream.events import CheckinEvent, event_from_json
 from repro.stream.state import StoreConfig, UserStateStore
 from repro.utils import spawn
 
@@ -210,6 +214,105 @@ class TestEventLog:
         result = read_log(tmp_path)
         assert [s for s, _ in result.records] == list(range(1, 4 * per_thread + 1))
         assert result.torn_skipped == 0
+
+    @pytest.mark.parametrize("line", [b"null", b"123", b'"x"', b"[1]"])
+    def test_record_that_is_not_an_object(self, tmp_path, line):
+        """Valid JSON but not an object: corruption mid-log, torn at the tail."""
+        with EventLogWriter(tmp_path) as log:
+            for e in drifting_events(3):
+                log.append(e)
+        segment = list_segments(tmp_path)[0]
+        records = segment.read_bytes().split(b"\n")  # 3 records, then b""
+        segment.write_bytes(b"\n".join([records[0], line, records[2], b""]))
+        with pytest.raises(WalCorruptionError, match="not a JSON object"):
+            read_log(tmp_path)
+        segment.write_bytes(b"\n".join([records[0], records[1], line, b""]))
+        result = read_log(tmp_path)
+        assert result.torn_skipped == 1 and result.last_seq == 2
+
+
+# ``hypothesis`` properties of the torn-tail contract, on single-segment
+# logs of 1-8 events (``hypothesis`` rejects function-scoped fixtures, so
+# each example writes into its own temporary directory).
+wal_events = st.builds(
+    CheckinEvent,
+    user_id=st.integers(),
+    poi_id=st.integers(min_value=0),
+    timestamp=st.floats(allow_nan=False, allow_infinity=False),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+# record-shaped objects with arbitrary field values, so the typed field
+# checks are exercised as well as the shape check
+record_shaped = st.fixed_dictionaries(
+    {"seq": json_values, "user_id": json_values, "poi_id": json_values, "timestamp": json_values}
+)
+
+
+def _is_valid_record(line: bytes) -> bool:
+    try:
+        payload = json.loads(line)
+        if not isinstance(payload, dict):
+            return False
+        seq = payload.get("seq")
+        if not isinstance(seq, int) or isinstance(seq, bool):
+            return False
+        event_from_json({k: v for k, v in payload.items() if k != "seq"})
+    except ValueError:
+        return False
+    return True
+
+
+not_records = st.one_of(
+    st.binary(max_size=64).map(lambda raw: raw.replace(b"\n", b"")),
+    st.one_of(json_values, record_shaped).map(lambda value: json.dumps(value).encode()),
+).filter(lambda line: not _is_valid_record(line))
+
+
+def _write_log(directory, events):
+    with EventLogWriter(directory) as log:
+        for e in events:
+            log.append(e)
+    (segment,) = list_segments(directory)
+    return segment
+
+
+@settings(max_examples=80, deadline=None)
+@given(events=st.lists(wal_events, min_size=1, max_size=8), data=st.data())
+def test_cut_final_record_is_skipped_as_torn(events, data):
+    """Cutting the final record anywhere before its newline, keeping at
+    least one byte, loses exactly that record."""
+    with tempfile.TemporaryDirectory() as directory:
+        segment = _write_log(directory, events)
+        raw = segment.read_bytes()
+        start = raw.rstrip(b"\n").rfind(b"\n") + 1  # the final record's first byte
+        keep = data.draw(st.integers(1, len(raw) - 1 - start))
+        segment.write_bytes(raw[: start + keep])
+        result = read_log(directory)
+    assert result.torn_skipped == 1
+    assert [e for _, e in result.records] == events[:-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    events=st.lists(wal_events, min_size=2, max_size=8),
+    replacement=not_records,
+    data=st.data(),
+)
+def test_damaged_earlier_record_raises(events, replacement, data):
+    """Any line but the last replaced by arbitrary bytes or by a JSON
+    value that is not a valid record: a typed corruption error."""
+    with tempfile.TemporaryDirectory() as directory:
+        segment = _write_log(directory, events)
+        lines = segment.read_bytes().split(b"\n")
+        lines[data.draw(st.integers(0, len(events) - 2))] = replacement
+        segment.write_bytes(b"\n".join(lines))
+        with pytest.raises(WalCorruptionError):
+            read_log(directory)
 
 
 # ----------------------------------------------------------------------

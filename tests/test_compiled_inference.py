@@ -12,7 +12,7 @@ hit/miss/fallback ladder, reload-driven re-trace, and the
 import numpy as np
 import pytest
 
-from repro.autograd import TraceError
+from repro.autograd import Tensor, TraceError
 from repro.baselines import MarkovChain
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
@@ -248,6 +248,42 @@ class TestCompiledIdentity:
         batch = list(splits.test[:3])
         results = compiled.predict_batch(batch)
         assert len(results) == 3
+
+
+class TestKnowledgeCacheScope:
+    """Only plan replay reads ``_knowledge_cache``.
+
+    Eager inference and training compute knowledge fresh, which is what
+    lets an eager replay check a compiled one (the repository benchmark
+    compares against an eager run without clearing this cache).
+    """
+
+    def test_eager_paths_ignore_poisoned_rows(self, tiny):
+        dataset, splits = tiny
+        model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
+        model.eval()
+        batch = [s for s in splits.test if s.history][:8]
+        shared = model.compute_embeddings()
+        want = model.predict_batch(batch, *shared)
+        want_loss = float(model.loss_batch(batch, *shared).data)
+
+        version = model.weights_version()
+        for sample in batch:
+            model._knowledge_cache.put(
+                (sample.history_key, version),
+                tuple(
+                    Tensor(np.zeros((rows, model.config.dim))) if rows else None
+                    for rows in model._knowledge_counts(sample)
+                ),
+            )
+        hits = model._knowledge_cache.hits
+        _assert_identical(model.predict_batch(batch, *shared), want)
+        assert float(model.loss_batch(batch, *shared).data) == want_loss
+        assert model._knowledge_cache.hits == hits
+
+        # the poisoned rows are live: a compiled predictor replays them
+        Predictor(model, graph_cache_size=None, compile=True).predict_batch(batch)
+        assert model._knowledge_cache.hits >= hits + len({s.history_key for s in batch})
 
 
 # ----------------------------------------------------------------------

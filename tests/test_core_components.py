@@ -8,7 +8,6 @@ from repro.core import (
     FusionModule,
     HGATEncoder,
     POIEmbedder,
-    SpatialEncoder,
     TSPNRAConfig,
     TemporalEncoder,
     arcface_loss_batch,
@@ -16,13 +15,14 @@ from repro.core import (
     rank_by_cosine,
     rank_of_target,
     spatial_encoding,
+    time_slots,
 )
 from repro.core.tile_embedding import ImageTileEmbedder, TableTileEmbedder
 from repro.data.trajectory import Trajectory, Visit
 from repro.geo import BoundingBox
 from repro.graphs import build_qrp_graph
 from repro.imagery import ImageryCatalog, LandUseMap, TileRenderer
-from repro.nn import key_padding_mask
+from repro.nn import causal_mask, key_padding_mask
 from repro.spatial import RegionQuadTree
 from repro.utils import spawn
 
@@ -83,27 +83,20 @@ class TestSpatialEncoding:
         with pytest.raises(ValueError):
             spatial_encoding(np.zeros((1, 2)), dim=30)
 
-    def test_module_adds_code(self):
-        enc = SpatialEncoder(dim=32)
-        x = Tensor(np.zeros((3, 32)), requires_grad=True)
-        out = enc(x, np.random.rand(3, 2))
-        assert out.shape == (3, 32)
-        assert not np.allclose(out.data, 0.0)
-
 
 class TestTemporalEncoder:
     def test_learnable_slots(self):
         enc = TemporalEncoder(dim=16, rng=spawn(0))
         x = Tensor(np.zeros((2, 16)))
-        out = enc(x, [9.4, 21.0])
+        out = enc(x, time_slots([9.4, 21.0]))
         assert out.shape == (2, 16)
         # same slot -> same code
-        out2 = enc(Tensor(np.zeros((1, 16))), [9.3])
+        out2 = enc(Tensor(np.zeros((1, 16))), time_slots([9.3]))
         assert np.allclose(out.data[0], out2.data[0])
 
     def test_grad_reaches_table(self):
         enc = TemporalEncoder(dim=16, rng=spawn(1))
-        out = enc(Tensor(np.zeros((2, 16)), requires_grad=True), [1.0, 13.0])
+        out = enc(Tensor(np.zeros((2, 16)), requires_grad=True), time_slots([1.0, 13.0]))
         out.sum().backward()
         assert enc.slots.weight.grad is not None
 
@@ -219,19 +212,34 @@ class TestHGAT:
         assert np.allclose(out_a, out_b)
 
 
+def _causal(length):
+    return causal_mask(length)[None, None, :, :]
+
+
 class TestFusion:
+    """``forward_batch`` takes last positions and pre-broadcast masks."""
+
     def test_output_is_vector(self):
         fusion = FusionModule(dim=16, num_heads=2, num_layers=2, rng=spawn(8))
         fusion.eval()
         seq = Tensor(np.random.default_rng(5).normal(size=(1, 6, 16)))
         hist = Tensor(np.random.default_rng(6).normal(size=(1, 9, 16)))
-        assert fusion.forward_batch(seq, [6], hist, key_padding_mask([9], 9)).shape == (1, 16)
+        mask = key_padding_mask([9], 9)
+        out = fusion.forward_batch(
+            seq,
+            np.array([5]),
+            _causal(6),
+            hist,
+            mask[:, None, None, :],
+            (~mask.all(axis=1))[:, None, None],
+        )
+        assert out.shape == (1, 16)
 
     def test_handles_no_history(self):
         fusion = FusionModule(dim=16, num_heads=2, num_layers=1, rng=spawn(9))
         fusion.eval()
         seq = Tensor(np.random.default_rng(7).normal(size=(1, 4, 16)))
-        assert fusion.forward_batch(seq, [4]).shape == (1, 16)
+        assert fusion.forward_batch(seq, np.array([3]), _causal(4)).shape == (1, 16)
 
     def test_causality(self):
         """Positions after a sample's last real one never reach its
@@ -243,12 +251,13 @@ class TestFusion:
         changed = seq.copy()
         changed[:, 2:] += 10.0
         np.testing.assert_allclose(
-            fusion.forward_batch(Tensor(changed), [2]).data,
-            fusion.forward_batch(Tensor(seq), [2]).data,
+            fusion.forward_batch(Tensor(changed), np.array([1]), _causal(4)).data,
+            fusion.forward_batch(Tensor(seq), np.array([1]), _causal(4)).data,
             rtol=0,
             atol=1e-12,
         )
-        assert fusion.forward_batch(Tensor(seq[:, :1]), [1]).shape == (1, 16)
+        single = fusion.forward_batch(Tensor(seq[:, :1]), np.array([0]), _causal(1))
+        assert single.shape == (1, 16)
 
 
 class TestLosses:

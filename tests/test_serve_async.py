@@ -892,6 +892,9 @@ class TestHttpFrontend:
             ("/reload", {}, 400, "checkpoint"),
             ("/reload", {"checkpoint": "/nonexistent.npz"}, 400, "not found"),
             ("/nope", {"prefix": [1]}, 404, "unknown path"),
+            # json.dumps writes NaN/Infinity literals, which json.loads accepts
+            ("/predict", {"prefix": [{"poi_id": 1, "timestamp": float("nan")}]}, 400, "finite"),
+            ("/recommend", {"prefix": [{"poi_id": 1, "timestamp": float("inf")}]}, 400, "finite"),
         ],
     )
     def test_error_statuses(self, http_stack, path, payload, expected_status, fragment):
