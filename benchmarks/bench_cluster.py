@@ -69,19 +69,25 @@ PASS_GAP_HOURS = 96.0  # > the 72h session-gap rule: each pass is a new session
 def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compiled):
     """Time one full ingest+predict pass through an N-shard cluster."""
     from repro.cluster import ClusterConfig, ClusterRouter
+    from repro.serve import ServerConfig
 
     config = ClusterConfig(
         num_shards=num_shards,
         snapshot_interval=500,
-        max_batch_size=BATCH_SIZE,
-        compile=compiled,
-        plan_dtype="float64",
-        # throughput profile: when shard processes oversubscribe the
-        # cores, the serve tier's latency-oriented 2ms batch deadline
-        # expires before batches fill (a preempted ingest thread stops
-        # feeding the queue) and predictions degrade to tiny batches —
-        # a wider window keeps micro-batches full under time-slicing
-        max_wait_ms=10.0,
+        server=ServerConfig(
+            workers=1,
+            max_batch_size=BATCH_SIZE,
+            # throughput profile: when shard processes oversubscribe the
+            # cores, the serve tier's latency-oriented 2ms batch deadline
+            # expires before batches fill (a preempted ingest thread
+            # stops feeding the queue) and predictions degrade to tiny
+            # batches — a wider window keeps micro-batches full under
+            # time-slicing
+            max_wait_ms=10.0,
+            request_timeout_s=30.0,
+            compile=compiled,
+            plan_dtype="float64",
+        ),
         heartbeat_interval_s=1.0,
         auto_restart=False,
     )
@@ -101,7 +107,7 @@ def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compil
         "seconds": round(seconds, 3),
         "events_per_second": round(len(payloads) / seconds, 2),
         "startup_seconds": round(startup_s, 2),
-        "compile": config.compile,
+        "compile": config.server.compile,
     }
     if compiled:
         shard_plans = [
@@ -109,7 +115,7 @@ def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compil
             for shard in router.stats()["cluster"]["shards"]
             if shard.get("status") == "ok"
         ]
-        leg["plan_dtype"] = config.plan_dtype
+        leg["plan_dtype"] = config.server.plan_dtype
         leg["plans"] = sum(len(p.get("plans", [])) for p in shard_plans)
         leg["plan_traces"] = sum(p.get("traces", 0) for p in shard_plans)
         leg["plan_hits"] = sum(p.get("hits", 0) for p in shard_plans)

@@ -13,7 +13,9 @@ single-process stateful path).  Four stops:
 3. SIGKILL a shard mid-flight (a real crash: no atexit, no goodbye
    snapshot) and watch the restarted process recover its exact state —
    every acknowledged ``state_version`` — from snapshot + log fold;
-4. the same thing over HTTP, plus the cluster-wide ``/stats`` roll-up.
+4. the same thing over HTTP: ``HttpFrontend(router)`` is the very
+   front end the single-process tier uses, so statuses and bodies are
+   the same on both tiers; plus the cluster-wide ``/stats`` roll-up.
 
 Everything here also works from the shell::
 
@@ -36,10 +38,10 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro.cluster import ClusterConfig, ClusterHttpFrontend, ClusterRouter
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
-from repro.serve import save_checkpoint
+from repro.serve import HttpFrontend, save_checkpoint
 from repro.stream import events_from_checkins
 from repro.utils import spawn
 
@@ -117,9 +119,10 @@ def main() -> None:
     outcome = router.stream_events(events[half:], predict_every=25)
     print(f"second half: {outcome['acks']} events, 0 lost")
 
-    # 4. The HTTP face of the same thing.  409 on out-of-order
-    #    check-ins survives the router hop; /stats aggregates the pool.
-    with ClusterHttpFrontend(router, port=0) as front:
+    # 4. The HTTP face of the same thing: the single-process tier's
+    #    front end, serving the router.  409 on out-of-order check-ins
+    #    survives the router hop; /stats aggregates the pool.
+    with HttpFrontend(router, port=0) as front:
         print(f"\ncluster HTTP on {front.url}")
         body = post(front.url + "/predict", {"user_id": user, "k": 3})
         print(f"POST /predict -> top-3 {body['top_pois']}")

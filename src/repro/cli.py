@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "POST /checkin and history-less "
                                    "POST /predict {\"user_id\": ...}")
     serve_parser.add_argument("--shards", type=int, default=16,
-                              help="state-store lock stripes (with --stateful)")
+                              help="state-store lock stripes (with --stateful, "
+                                   "--persist or --cluster)")
     serve_parser.add_argument("--gap-hours", type=float, default=None,
                               dest="gap_hours",
                               help="session-split gap Δt in hours "
@@ -227,10 +228,21 @@ def _server_config(args):
     )
 
 
+def _store_config(args):
+    from .data.trajectory import DEFAULT_GAP_HOURS
+    from .stream import StoreConfig
+
+    return StoreConfig(
+        num_shards=args.shards,
+        max_sessions=args.max_sessions,
+        gap_hours=DEFAULT_GAP_HOURS if args.gap_hours is None else args.gap_hours,
+    )
+
+
 def _cmd_serve_cluster(args) -> int:
     """``repro serve --cluster N --checkpoint CKPT --persist DIR``."""
-    from .cluster import ClusterConfig, ClusterHttpFrontend, ClusterRouter
-    from .data.trajectory import DEFAULT_GAP_HOURS
+    from .cluster import ClusterConfig, ClusterRouter
+    from .serve import HttpFrontend
 
     if not args.checkpoint:
         print("serve: --cluster needs --checkpoint (workers attach its "
@@ -245,17 +257,8 @@ def _cmd_serve_cluster(args) -> int:
             num_shards=args.cluster,
             fsync=args.fsync,
             snapshot_interval=args.snapshot_interval,
-            max_sessions=args.max_sessions,
-            gap_hours=(DEFAULT_GAP_HOURS if args.gap_hours is None
-                       else args.gap_hours),
-            server_workers=args.workers,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            compile=not args.no_compile,
-            plan_dtype=args.plan_dtype,
-            trace_sample=args.trace_sample,
-            quality_window=args.quality_window,
-            quality_topk=args.quality_topk,
+            server=_server_config(args),
+            store=_store_config(args),
         )
         router = ClusterRouter(args.checkpoint, args.persist, config=config)
     except FileNotFoundError:
@@ -265,7 +268,7 @@ def _cmd_serve_cluster(args) -> int:
         print(f"serve: {error}", file=sys.stderr)
         return 2
     router.start()
-    front = ClusterHttpFrontend(router, host=args.host, port=args.port)
+    front = HttpFrontend(router, host=args.host, port=args.port)
     print(f"cluster serving on {front.url}  ({args.cluster} shards, "
           f"persist={args.persist}, fsync={args.fsync}, "
           f"snapshot every {args.snapshot_interval} events)")
@@ -387,17 +390,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.persist:
             # durable single-process tier: recover, then log every ack
             from .cluster import DurableIngest, EventLogWriter, recover_store
-            from .data.trajectory import DEFAULT_GAP_HOURS
-            from .stream import StoreConfig
 
             try:
-                store_config = StoreConfig(
-                    num_shards=args.shards,
-                    max_sessions=args.max_sessions,
-                    gap_hours=(DEFAULT_GAP_HOURS if args.gap_hours is None
-                               else args.gap_hours),
-                )
-                recovery = recover_store(args.persist, config=store_config)
+                recovery = recover_store(args.persist, config=_store_config(args))
                 log = EventLogWriter(args.persist, fsync=args.fsync,
                                      next_seq=recovery.last_seq + 1)
                 ingest = DurableIngest(store=recovery.store, log=log,
@@ -409,16 +404,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"(snapshot seq {recovery.snapshot_seq} + {recovery.replayed} "
                   f"replayed) in {recovery.seconds:.3f}s")
         elif args.stateful:
-            from .data.trajectory import DEFAULT_GAP_HOURS
-            from .stream import StoreConfig, UserStateStore
+            from .stream import UserStateStore
 
             try:
-                state_store = UserStateStore(StoreConfig(
-                    num_shards=args.shards,
-                    max_sessions=args.max_sessions,
-                    gap_hours=(DEFAULT_GAP_HOURS if args.gap_hours is None
-                               else args.gap_hours),
-                ))
+                state_store = UserStateStore(_store_config(args))
             except ValueError as error:  # e.g. --shards 0, --gap-hours -1
                 print(f"serve: {error}", file=sys.stderr)
                 return 2

@@ -9,13 +9,13 @@ Three layers on top of :mod:`repro.stream` and :mod:`repro.serve`:
   subprocesses wrapping :class:`~repro.serve.server.InferenceServer`,
   with checkpoint weights shared zero-copy through
   ``multiprocessing.shared_memory``.
-* **Routing** (:mod:`.ring`, :mod:`.router`, :mod:`.frontend`) — a
-  consistent-hash front-end that owns the worker pool, supervises
-  heartbeats, and serves the same HTTP surface as the single-process
-  tier.
+* **Routing** (:mod:`.ring`, :mod:`.router`) — a consistent-hash
+  router that owns the worker pool, supervises heartbeats, and answers
+  the single-process server's JSON request surface, so
+  :class:`~repro.serve.server.HttpFrontend` serves it unchanged
+  (``HttpFrontend(router)``).
 """
 
-from .frontend import ClusterHttpFrontend
 from .recovery import DurableIngest, RecoveryResult, recover_store
 from .ring import HashRing
 from .router import ClusterConfig, ClusterRouter
@@ -43,7 +43,6 @@ __all__ = [
     "RecoveryResult",
     "recover_store",
     "ClusterConfig",
-    "ClusterHttpFrontend",
     "ClusterRouter",
     "HashRing",
     "ShardError",

@@ -1,4 +1,4 @@
-"""The cluster front-end: shard pool ownership, routing, supervision.
+"""The cluster's routing layer: shard pool ownership, routing, supervision.
 
 :class:`ClusterRouter` is the parent process's brain.  It reads the
 checkpoint once, publishes the weights into shared memory, spawns one
@@ -9,6 +9,11 @@ thread heartbeats the pool and restarts any shard that dies or stops
 answering — the restarted process recovers its durable state before
 reporting ready, so a crash costs availability of one shard's users
 for the recovery window and nothing else.
+
+The router answers the single-process server's JSON request surface
+(``checkin_json``/``predict_json``/``reload_json``, each a
+``(status, body)`` pair), so the one
+:class:`~repro.serve.server.HttpFrontend` serves either tier.
 """
 
 from __future__ import annotations
@@ -19,57 +24,51 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import (
     MetricsRegistry,
     SlowRing,
+    Trace,
+    current_trace,
     maybe_trace,
+    merge_summaries,
     render_prometheus,
 )
+from ..serve.server import ServerConfig
+from ..stream.state import StoreConfig
 from .ring import HashRing
 from .sharedmem import SharedWeights
 from .wal import FSYNC_POLICIES
-from .worker import ShardError, ShardHandle, WorkerSpec
+from .worker import SHARD_SERVER, SHARD_STORE, ShardError, ShardHandle, WorkerSpec
 
 logger = logging.getLogger("repro.cluster.router")
 
 
 @dataclass
 class ClusterConfig:
-    """Knobs of the multi-process tier."""
+    """Knobs of the multi-process tier.
+
+    ``server`` and ``store`` are the single-process tier's own configs,
+    shipped to every shard; the rest configure each shard's event log
+    and the router's supervision.
+    """
 
     num_shards: int = 2
     fsync: str = "rotate"
     snapshot_interval: int = 1000
     segment_max_records: int = 10000
-    store_shards: int = 4
-    max_sessions: int = 64
-    max_session_visits: int = 512
-    gap_hours: float = 72.0
-    server_workers: int = 1
-    max_batch_size: int = 16
-    max_wait_ms: float = 2.0
-    request_timeout_s: float = 30.0
-    compile: bool = True
-    plan_dtype: str = "float64"
     heartbeat_interval_s: float = 2.0
     heartbeat_timeout_s: float = 5.0
     auto_restart: bool = True
-    trace_sample: float = 0.0
-    slow_ring_size: int = 64
-    quality_window: float = 3600.0
-    quality_topk: int = 20
+    server: ServerConfig = SHARD_SERVER
+    store: StoreConfig = SHARD_STORE
 
     def __post_init__(self):
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if self.fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync must be one of {FSYNC_POLICIES}")
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ValueError("trace_sample must be in [0, 1]")
-        if self.slow_ring_size < 1:
-            raise ValueError("slow_ring_size must be >= 1")
 
 
 class ClusterRouter:
@@ -109,7 +108,7 @@ class ClusterRouter:
         # are scraped over the control pipe at /metrics time, never
         # mirrored here) plus a worst-N ring of sampled routed requests.
         self.registry = MetricsRegistry()
-        self.slow_ring = SlowRing(self.config.slow_ring_size)
+        self.slow_ring = SlowRing(self.config.server.slow_ring_size)
         self._routed = self.registry.counter(
             "router_requests", "Routed operations by op",
         )
@@ -140,19 +139,8 @@ class ClusterRouter:
             fsync=c.fsync,
             snapshot_interval=c.snapshot_interval,
             segment_max_records=c.segment_max_records,
-            store_shards=c.store_shards,
-            max_sessions=c.max_sessions,
-            max_session_visits=c.max_session_visits,
-            gap_hours=c.gap_hours,
-            server_workers=c.server_workers,
-            max_batch_size=c.max_batch_size,
-            max_wait_ms=c.max_wait_ms,
-            request_timeout_s=c.request_timeout_s,
-            compile=c.compile,
-            plan_dtype=c.plan_dtype,
-            trace_sample=c.trace_sample,
-            quality_window=c.quality_window,
-            quality_topk=c.quality_topk,
+            server=c.server,
+            store=c.store,
         )
 
     # ------------------------------------------------------------------
@@ -250,17 +238,22 @@ class ClusterRouter:
     def shard_for(self, user_id: int) -> ShardHandle:
         return self.shards[self.ring.shard_for(user_id)]
 
-    def _route(self, shard: ShardHandle, payload: Dict, timeout: float) -> Dict:
+    def _route(self, shard: ShardHandle, payload: Dict) -> Dict:
         """One routed round-trip: metrics always, tracing when sampled.
 
-        A sampled request opens a ``route.<op>`` span, ships the trace
+        A traced request opens a ``route.<op>`` span, ships the trace
         carrier in the payload, and grafts the shard's exported spans
         back under that span (right-aligned at reply arrival — the two
         processes' monotonic clocks share no epoch, so durations and
-        in-trace order travel, absolute times do not).  The finished
-        trace is offered to the router's slow ring.
+        in-trace order travel, absolute times do not).  The trace is
+        the caller's active one (the HTTP handler's); without one the
+        router samples its own and offers it to its slow ring.
         """
-        trace = maybe_trace(self.config.trace_sample)
+        trace = current_trace()
+        owned = trace is None
+        if owned:
+            trace = maybe_trace(self.config.server.trace_sample)
+        timeout = self.config.server.request_timeout_s
         self._routed.inc()
         start = time.monotonic()
         try:
@@ -277,8 +270,8 @@ class ClusterRouter:
                 if spans:
                     trace.graft(spans, parent=index)
                 trace.finish(index)
-                self._traces_sampled.inc()
-                self.slow_ring.offer(trace)
+                if owned:
+                    self.offer_trace(trace)
         finally:
             self._route_seconds.observe(time.monotonic() - start)
         if not reply.get("ok"):
@@ -296,37 +289,54 @@ class ClusterRouter:
         user_id = payload.get("user_id")
         if isinstance(user_id, bool) or not isinstance(user_id, int):
             return {"ok": False, "code": 400, "error": "user_id must be an integer"}
+        return self._route(self.shard_for(user_id), {"op": "checkin", "event": payload})
+
+    def predict(self, payload: Dict, recommend: bool = False) -> Dict:
+        """Route one ``/predict`` (or ``/recommend``) body by ``user_id``.
+
+        A body without an integer ``user_id`` goes to shard 0, which
+        serves a stateless request (it ships its own history) or
+        rejects the body exactly as the single-process tier would.
+        Routing by user keeps a user's QR-P graph cache warm on one
+        shard instead of smeared across all of them.
+        """
+        user_id = payload.get("user_id")
+        routable = isinstance(user_id, int) and not isinstance(user_id, bool)
+        shard = self.shard_for(user_id) if routable else self.shards[0]
         return self._route(
-            self.shard_for(user_id),
-            {"op": "checkin", "event": payload},
-            timeout=self.config.request_timeout_s,
+            shard, {"op": "predict", "payload": payload, "recommend": recommend}
         )
 
     def predict_user(self, user_id: int, k: int = 10) -> Dict:
-        return self._route(
-            self.shard_for(user_id),
-            {"op": "predict", "user_id": user_id, "k": k},
-            timeout=self.config.request_timeout_s,
-        )
+        return self.predict({"user_id": user_id, "k": k})
 
-    def predict_raw(self, payload: Dict, k: int = 10) -> Dict:
-        """Full-body prediction, routed by ``user_id`` (default shard 0).
+    # ------------------------------------------------------------------
+    # JSON request surface (the single-process server's, routed)
+    # ------------------------------------------------------------------
+    def checkin_json(self, payload: Dict) -> Tuple[int, Dict]:
+        return self._answer(self.checkin, payload)
 
-        Stateless requests ship their own history, so any shard can
-        serve them; routing by user keeps a user's QR-P graph cache
-        warm on one shard instead of smeared across all of them.
-        """
-        user_id = payload.get("user_id")
-        shard = (
-            self.shard_for(user_id)
-            if isinstance(user_id, int) and not isinstance(user_id, bool)
-            else self.shards[0]
-        )
-        return self._route(
-            shard,
-            {"op": "predict_raw", "payload": payload, "k": k},
-            timeout=self.config.request_timeout_s,
-        )
+    def predict_json(self, payload: Dict, recommend: bool = False) -> Tuple[int, Dict]:
+        return self._answer(self.predict, payload, recommend)
+
+    def reload_json(self, payload: Dict) -> Tuple[int, Dict]:
+        # Hot weight swap would need a new shared-memory generation plus
+        # a coordinated cut-over across workers; a half-switched cluster
+        # serving two weight versions is worse than "restart to reload".
+        return 501, {"error": "cluster weight reload is not supported; "
+                              "restart the cluster with the new checkpoint"}
+
+    @staticmethod
+    def _answer(op, *args) -> Tuple[int, Dict]:
+        """A routed op's reply as ``(status, body)``: the shard's own
+        status, or 503 when the shard cannot answer."""
+        try:
+            reply = op(*args)
+        except ShardError as error:
+            return 503, {"error": str(error)}
+        if reply.get("ok"):
+            return 200, reply["result"]
+        return reply.get("code", 500), {"error": reply.get("error", "")}
 
     def stream_events(
         self, events: List[Dict], predict_every: int = 0, k: int = 10
@@ -350,7 +360,7 @@ class ClusterRouter:
         # One trace covers the whole fan-out: each shard's sub-tape gets
         # its own route.stream span (opened from the pool thread — Trace
         # appends are thread-safe) with the shard's spans grafted under it.
-        trace = maybe_trace(self.config.trace_sample)
+        trace = maybe_trace(self.config.server.trace_sample)
 
         def one_shard(index: int, batch: List[Dict]) -> Dict:
             request = {
@@ -364,7 +374,7 @@ class ClusterRouter:
                 span_index = trace.begin("route.stream", shard=index, events=len(batch))
                 request["trace"] = trace.carrier()
             reply = self.shards[index].request(
-                request, timeout=max(self.config.request_timeout_s, 120.0)
+                request, timeout=max(self.config.server.request_timeout_s, 120.0)
             )
             if trace is not None:
                 spans = reply.pop("spans", None) if isinstance(reply, dict) else None
@@ -385,8 +395,7 @@ class ClusterRouter:
         finally:
             self._route_seconds.observe(time.monotonic() - start)
             if trace is not None:
-                self._traces_sampled.inc()
-                self.slow_ring.offer(trace)
+                self.offer_trace(trace)
         acks = 0
         rejected = 0
         predictions = 0
@@ -470,16 +479,14 @@ class ClusterRouter:
             )
         return render_prometheus(snapshots)
 
-    def quality(self) -> Dict:
+    def quality_report(self) -> Dict:
         """Cluster-wide model-quality report (``GET /quality``).
 
-        Each shard's prequential summary comes over the control pipe;
-        the cluster section merges the **raw windowed sums** (joins,
-        hits, MRR/NDCG numerators) by addition and recomputes the
-        ratios from the sums — averaging per-shard ratios would weight
-        an idle shard equal to a busy one.  A shard that cannot answer
-        contributes a ``status: down`` entry; the scrape never fails
-        because a shard is mid-restart.
+        Each shard's prequential summary comes over the control pipe and
+        :func:`~repro.obs.quality.merge_summaries` adds them into the
+        ``cluster`` section.  A shard that cannot answer contributes a
+        ``status: down`` entry; the scrape never fails because a shard
+        is mid-restart.
         """
         shards: List[Dict] = []
         reports: List[Dict] = []
@@ -490,10 +497,7 @@ class ClusterRouter:
                     timeout=self.config.heartbeat_timeout_s
                 )
             except ShardError as error:
-                shards.append(
-                    {"shard": index, "status": "down", "error": str(error)}
-                )
-                continue
+                reply = {"ok": False, "error": str(error)}
             if not reply.get("ok"):
                 shards.append(
                     {"shard": index, "status": "down", "error": reply.get("error")}
@@ -503,73 +507,23 @@ class ClusterRouter:
             shards.append({"shard": index, "status": "ok", "quality": report})
             if report.get("enabled"):
                 reports.append(report)
-
         if not reports:
             return {"enabled": False, "shards": shards}
-
-        ks = sorted(
-            {str(k) for r in reports for k in r.get("ks", [])}, key=int
-        )
-        strata_names = sorted(
-            {s for r in reports for s in r.get("strata", {})}
-        )
-        cluster: Dict = {
-            "pending": sum(r.get("pending", 0) for r in reports),
-            "expired": sum(r.get("expired", 0) for r in reports),
-            "replaced": sum(r.get("replaced", 0) for r in reports),
-            "evicted": sum(r.get("evicted", 0) for r in reports),
-            "predictions": {},
-            "joins": {},
-            "strata": {},
-        }
-        for key in ("predictions", "joins"):
-            merged: Dict[str, int] = {}
-            for r in reports:
-                for s, v in r.get(key, {}).items():
-                    merged[s] = merged.get(s, 0) + int(v)
-            cluster[key] = merged
-        for s in strata_names:
-            windows = [
-                r["strata"][s]["window"] for r in reports if s in r.get("strata", {})
-            ]
-            joins = sum(w.get("joins", 0) for w in windows)
-            mrr_sum = sum(w.get("mrr_sum", 0.0) for w in windows)
-            hits = {
-                k: sum(w.get("hits", {}).get(k, 0) for w in windows) for k in ks
-            }
-            ndcg_sum = {
-                k: sum(w.get("ndcg_sum", {}).get(k, 0.0) for w in windows)
-                for k in ks
-            }
-            cluster["strata"][s] = {
-                "window": {
-                    "joins": joins,
-                    "hits": hits,
-                    "mrr_sum": mrr_sum,
-                    "ndcg_sum": ndcg_sum,
-                },
-                "recall": {k: (v / joins if joins else 0.0) for k, v in hits.items()},
-                "mrr": mrr_sum / joins if joins else 0.0,
-                "ndcg": {
-                    k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()
-                },
-            }
-        store_strata: Dict[str, int] = {}
-        for r in reports:
-            for s, v in r.get("store_strata", {}).items():
-                store_strata[s] = store_strata.get(s, 0) + int(v)
-        if store_strata:
-            cluster["store_strata"] = store_strata
-        # drift stays per-shard (each shard sees a different event slice,
-        # so PSI merges make no sense); the cluster alert is an any-of
-        cluster["drift_alert"] = any(
-            r.get("drift", {}).get("alert", False) for r in reports
-        )
-        return {"enabled": True, "shards": shards, "cluster": cluster}
+        return {"enabled": True, "shards": shards, "cluster": merge_summaries(reports)}
 
     def slow_requests(self, n: int = 10) -> List[Dict]:
         """The router's worst sampled routed requests (``/debug/slow``)."""
         return self.slow_ring.slow(n)
+
+    @property
+    def trace_sample(self) -> float:
+        """The request-tracing rate the HTTP handler samples at."""
+        return self.config.server.trace_sample
+
+    def offer_trace(self, trace: Trace) -> None:
+        """Count one finished sampled request; keep it if among the slowest."""
+        self._traces_sampled.inc()
+        self.slow_ring.offer(trace)
 
     def stats(self) -> Dict:
         """Cluster-wide roll-up plus per-shard detail (``GET /stats``)."""
@@ -622,7 +576,7 @@ class ClusterRouter:
                 "bytes": self.weights.manifest["size"],
             },
             "tracing": {
-                "sample_rate": self.config.trace_sample,
+                "sample_rate": self.config.server.trace_sample,
                 "sampled": int(self._traces_sampled.value),
                 "slow_ring": len(self.slow_ring),
             },

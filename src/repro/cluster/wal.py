@@ -131,10 +131,6 @@ class EventLogWriter:
         """Seq of the most recent append (``next_seq - 1`` before any)."""
         return self._next_seq - 1
 
-    @property
-    def current_segment(self) -> Optional[Path]:
-        return self._segment_path
-
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Shard worker subprocesses: one durable ``InferenceServer`` each.
 
-A :class:`ShardWorker` subprocess owns one consistent-hash shard of the
-user space: its own :class:`~repro.stream.state.UserStateStore`, its
-own event log + snapshots under ``<persist>/shard-NN/``, and a full
+A shard worker subprocess owns one consistent-hash shard of the user
+space: its own :class:`~repro.stream.state.UserStateStore`, its own
+event log + snapshots under ``<persist>/shard-NN/``, and a full
 :class:`~repro.serve.server.InferenceServer` (micro-batch scheduler and
 predictor pool) whose model weights are zero-copy views into the
-parent's shared-memory block (:mod:`repro.cluster.sharedmem`).
+parent's shared-memory block (:mod:`repro.cluster.sharedmem`).  A
+shard answers check-ins and predictions through that server's JSON
+request surface (``checkin_json``/``predict_json``), so a status code
+means the same on both tiers; the router turns the reply back into
+the HTTP status the single-process handler would send.
 
 Startup is recovery: the worker main rebuilds the dataset from the
 checkpoint recipe (deterministic — every shard and every restart sees
@@ -33,13 +37,14 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs.tracing import Trace, activate, span
-from ..stream.events import event_from_json
+from ..serve.checkpoint import build_dataset_from_meta, build_model_from_meta
+from ..serve.protocol import sample_from_json
+from ..serve.scheduler import QueueFullError, SchedulerClosedError
+from ..serve.server import InferenceServer, ServerConfig
 from ..stream.state import StoreConfig
 from .recovery import DurableIngest, recover_store
 from .sharedmem import SharedWeights, assign_shared_parameters
@@ -55,14 +60,22 @@ class ShardError(RuntimeError):
     """A shard failed to start, died, or stopped answering."""
 
 
+# A shard's defaults: one worker thread per process (the cluster scales
+# by processes), a 2 ms batching window, a 30 s request timeout, and 4
+# store lock stripes.  Both configs are frozen, so sharing is safe.
+SHARD_SERVER = ServerConfig(workers=1, max_wait_ms=2.0, request_timeout_s=30.0)
+SHARD_STORE = StoreConfig(num_shards=4)
+
+
 @dataclass
 class WorkerSpec:
     """Everything a shard worker needs, shippable through ``spawn``.
 
     The checkpoint travels as ``meta`` (JSON-safe dict) plus the
-    shared-memory ``manifest`` — never as weight arrays.  Store and
-    server knobs are plain fields so the spec pickles under any start
-    method.
+    shared-memory ``manifest`` — never as weight arrays.  The event-log
+    knobs are plain fields; the serving and store knobs are the
+    single-process tier's own frozen :class:`ServerConfig` and
+    :class:`StoreConfig`, which pickle under any start method.
     """
 
     shard_index: int
@@ -72,51 +85,32 @@ class WorkerSpec:
     fsync: str = "rotate"
     snapshot_interval: int = 1000
     segment_max_records: int = 10000
-    store_shards: int = 4
-    max_sessions: int = 64
-    max_session_visits: int = 512
-    gap_hours: float = 72.0
-    server_workers: int = 1
-    max_batch_size: int = 16
-    max_wait_ms: float = 2.0
-    max_queue: int = 256
-    request_timeout_s: float = 30.0
-    compile: bool = True
-    plan_dtype: str = "float64"
-    trace_sample: float = 0.0
-    quality_window: float = 3600.0
-    quality_topk: int = 20
-
-    def store_config(self) -> StoreConfig:
-        return StoreConfig(
-            num_shards=self.store_shards,
-            max_sessions=self.max_sessions,
-            max_session_visits=self.max_session_visits,
-            gap_hours=self.gap_hours,
-        )
+    server: ServerConfig = SHARD_SERVER
+    store: StoreConfig = SHARD_STORE
 
 
 def _error(code: int, error: Exception) -> Dict:
     return {"ok": False, "code": code, "error": str(error)}
 
 
+def _reply(status: int, body: Dict) -> Dict:
+    """A server ``(status, body)`` answer as a pipe reply."""
+    if status == 200:
+        return {"ok": True, "result": body}
+    return {"ok": False, "code": status, "error": body["error"]}
+
+
 class _WorkerRuntime:
     """The in-process half of a shard worker (also used by tests directly)."""
 
     def __init__(self, spec: WorkerSpec):
-        from ..serve.checkpoint import build_dataset_from_meta, build_model_from_meta
-        from ..serve.protocol import result_to_json, sample_from_json
-        from ..serve.server import InferenceServer, ServerConfig
-
-        self._result_to_json = result_to_json
-        self._sample_from_json = sample_from_json
         self.spec = spec
         self.weights = SharedWeights.attach(spec.weights_manifest)
         dataset = build_dataset_from_meta(spec.checkpoint_meta)
         model = build_model_from_meta(spec.checkpoint_meta, dataset)
         assign_shared_parameters(model, self.weights.arrays())
         model.eval()
-        self.recovery = recover_store(spec.persist_dir, config=spec.store_config())
+        self.recovery = recover_store(spec.persist_dir, config=spec.store)
         self.log = EventLogWriter(
             spec.persist_dir,
             fsync=spec.fsync,
@@ -129,21 +123,7 @@ class _WorkerRuntime:
             snapshot_interval=spec.snapshot_interval,
         )
         self.server = InferenceServer(
-            model,
-            config=ServerConfig(
-                workers=spec.server_workers,
-                max_batch_size=spec.max_batch_size,
-                max_wait_ms=spec.max_wait_ms,
-                max_queue=spec.max_queue,
-                request_timeout_s=spec.request_timeout_s,
-                compile=spec.compile,
-                plan_dtype=spec.plan_dtype,
-                trace_sample=spec.trace_sample,
-                quality_window=spec.quality_window,
-                quality_topk=spec.quality_topk,
-            ),
-            dataset=dataset,
-            ingest=self.ingest,
+            model, config=spec.server, dataset=dataset, ingest=self.ingest
         )
         self.server.start()
         # First-prediction warmup: a fresh interpreter pays one-time
@@ -152,10 +132,9 @@ class _WorkerRuntime:
         # Paying them on a throwaway sample here moves that stall into
         # startup — before the ready ack, so a shard never joins the
         # ring cold.
-        warmup = self._sample_from_json(
-            {"prefix": [0]}, num_pois=self.server.num_pois
+        self.server.predict(
+            sample_from_json({"prefix": [0]}, num_pois=self.server.num_pois)
         )
-        self.server.predict(warmup, timeout=spec.request_timeout_s)
 
     # ------------------------------------------------------------------
     # operations (each returns a JSON-safe reply dict)
@@ -184,60 +163,12 @@ class _WorkerRuntime:
             return _error(500, error)
 
     def _op_checkin(self, request: Dict) -> Dict:
-        try:
-            event = event_from_json(request["event"], num_pois=self.server.num_pois)
-        except ValueError as error:
-            return _error(400, error)
-        try:
-            result = self.ingest.ingest(event)
-        except ValueError as error:
-            # out-of-order arrival: same conflict the single-process
-            # tier maps to HTTP 409 — the router propagates it unchanged
-            return _error(409, error)
-        # keep the WAL bounded even when check-ins arrive one at a time
-        # (streamed batches also compact at their tail)
-        self.ingest.maybe_snapshot()
-        return {"ok": True, "result": result.as_dict()}
+        return _reply(*self.server.checkin_json(request["event"]))
 
     def _op_predict(self, request: Dict) -> Dict:
-        user_id = request.get("user_id")
-        k = request.get("k", 10)
-        try:
-            future = self.server.submit_user(user_id)
-        except KeyError:
-            return _error(404, KeyError(f"no check-in state for user {user_id}"))
-        except ValueError as error:
-            return _error(400, error)
-        return self._await(future, k)
-
-    def _op_predict_raw(self, request: Dict) -> Dict:
-        try:
-            sample = self._sample_from_json(
-                request["payload"], num_pois=self.server.num_pois
-            )
-        except ValueError as error:
-            return _error(400, error)
-        try:
-            future = self.server.submit(sample)
-        except ValueError as error:
-            return _error(400, error)
-        return self._await(future, request.get("k", 10))
-
-    def _await(self, future, k: int) -> Dict:
-        from ..serve.scheduler import QueueFullError, SchedulerClosedError
-
-        try:
-            result = future.result(self.spec.request_timeout_s)
-        except FutureTimeoutError as error:
-            future.cancel()
-            return _error(504, error)
-        except QueueFullError as error:
-            return _error(429, error)
-        except SchedulerClosedError as error:
-            return _error(503, error)
-        except Exception as error:
-            return _error(500, error)
-        return {"ok": True, "result": self._result_to_json(result, k=k)}
+        return _reply(
+            *self.server.predict_json(request["payload"], request.get("recommend", False))
+        )
 
     def _op_stream(self, request: Dict) -> Dict:
         """Batched ingest with pipelined interleaved predictions.
@@ -255,18 +186,18 @@ class _WorkerRuntime:
         """
         from collections import deque
 
-        from ..serve.scheduler import QueueFullError, SchedulerClosedError
-
         predict_every = request.get("predict_every", 0)
         k = request.get("k", 10)
         acks: List[Dict] = []
         predictions: List[Dict] = []
         pending: deque = deque()
-        max_pending = max(4 * self.spec.max_batch_size, 8)
+        max_pending = max(4 * self.spec.server.max_batch_size, 8)
 
         def drain_one() -> None:
             user, future = pending.popleft()
-            predictions.append({"user_id": user, **self._await(future, k)})
+            predictions.append(
+                {"user_id": user, **_reply(*self.server.result_json(future, k))}
+            )
 
         for index, payload in enumerate(request["events"]):
             ack = self._op_checkin({"event": payload})
@@ -275,8 +206,11 @@ class _WorkerRuntime:
                 user = payload["user_id"]
                 try:
                     future = self.server.submit_user(user)
-                except (QueueFullError, SchedulerClosedError) as error:
+                except QueueFullError as error:
                     predictions.append({"user_id": user, **_error(429, error)})
+                    continue
+                except SchedulerClosedError as error:
+                    predictions.append({"user_id": user, **_error(503, error)})
                     continue
                 pending.append((user, future))
                 if len(pending) >= max_pending:
@@ -330,14 +264,6 @@ class _WorkerRuntime:
             "ok": True,
             "shard": self.spec.shard_index,
             "quality": self.server.quality_report(),
-        }
-
-    def _op_slow(self, request: Dict) -> Dict:
-        """The shard's own slow-trace exemplars (local sampling only)."""
-        return {
-            "ok": True,
-            "shard": self.spec.shard_index,
-            "slow": self.server.slow_requests(request.get("n", 10)),
         }
 
     def _op_ping(self, request: Dict) -> Dict:
@@ -552,10 +478,6 @@ class ShardHandle:
     def control_quality(self, timeout: float = 30.0) -> Dict:
         """Quality/drift report over the control pipe (/quality merge)."""
         return self._roundtrip("control", {"op": "quality"}, timeout)
-
-    def control_slow(self, n: int = 10, timeout: float = 30.0) -> Dict:
-        """The shard's slow-trace exemplars over the control pipe."""
-        return self._roundtrip("control", {"op": "slow", "n": n}, timeout)
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Graceful stop: drain, final snapshot, exit."""

@@ -39,7 +39,7 @@ from .tracing import (
     span_creation_count,
 )
 from .expo import diff_scrapes, format_report, parse_prometheus, render_prometheus
-from .quality import STRATA, QualityMonitor, cold_start_stratum
+from .quality import STRATA, QualityMonitor, cold_start_stratum, merge_summaries
 from .drift import DriftDetector
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
     "render_prometheus",
     "QualityMonitor",
     "cold_start_stratum",
+    "merge_summaries",
     "STRATA",
     "DriftDetector",
 ]

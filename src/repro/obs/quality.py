@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .metrics import MetricsRegistry, WindowedCounter
 
-__all__ = ["QualityMonitor", "cold_start_stratum", "STRATA"]
+__all__ = ["QualityMonitor", "cold_start_stratum", "merge_summaries", "STRATA"]
 
 STRATA: Tuple[str, ...] = ("0", "1", "2+")
 
@@ -63,6 +63,67 @@ def cold_start_stratum(num_prior_sessions: int) -> str:
     if num_prior_sessions == 1:
         return "1"
     return "2+"
+
+
+def _stratum_block(
+    joins: float, hits: Dict[str, float], mrr_sum: float, ndcg_sum: Dict[str, float]
+) -> Dict:
+    """One stratum's report: its raw windowed sums plus the ratios."""
+    return {
+        "window": {
+            "joins": joins,
+            "hits": hits,
+            "mrr_sum": mrr_sum,
+            "ndcg_sum": ndcg_sum,
+        },
+        "recall": {k: (v / joins if joins else 0.0) for k, v in hits.items()},
+        "mrr": mrr_sum / joins if joins else 0.0,
+        "ndcg": {k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()},
+    }
+
+
+def _add_counts(maps) -> Dict[str, int]:
+    total: Dict[str, int] = {}
+    for counts in maps:
+        for key, value in counts.items():
+            total[key] = total.get(key, 0) + int(value)
+    return total
+
+
+def merge_summaries(reports: Sequence[Dict]) -> Dict:
+    """Merge quality reports of monitors that saw disjoint users.
+
+    ``reports`` are :meth:`QualityMonitor.summary` dicts, optionally
+    extended as a server's ``GET /quality`` report (``store_strata``,
+    ``drift``).  Counters and each stratum's raw windowed sums add, and
+    the ratios are recomputed from the sums: a mean of per-report ratios
+    would weight an idle shard equal to a busy one.  Drift stays per
+    report (each sees a different event slice, so PSI does not add);
+    ``drift_alert`` is any report's alert.
+    """
+    ks = sorted({str(k) for r in reports for k in r.get("ks", [])}, key=int)
+    merged: Dict = {
+        key: sum(r.get(key, 0) for r in reports)
+        for key in ("pending", "expired", "replaced", "evicted")
+    }
+    merged["predictions"] = _add_counts(r.get("predictions", {}) for r in reports)
+    merged["joins"] = _add_counts(r.get("joins", {}) for r in reports)
+    merged["strata"] = {}
+    for s in sorted({s for r in reports for s in r.get("strata", {})}):
+        windows = [r["strata"][s]["window"] for r in reports if s in r.get("strata", {})]
+        merged["strata"][s] = _stratum_block(
+            joins=sum(w.get("joins", 0) for w in windows),
+            hits={k: sum(w.get("hits", {}).get(k, 0) for w in windows) for k in ks},
+            mrr_sum=sum(w.get("mrr_sum", 0.0) for w in windows),
+            ndcg_sum={
+                k: sum(w.get("ndcg_sum", {}).get(k, 0.0) for w in windows) for k in ks
+            },
+        )
+    store_strata = _add_counts(r.get("store_strata", {}) for r in reports)
+    if store_strata:
+        merged["store_strata"] = store_strata
+    merged["drift_alert"] = any(r.get("drift", {}).get("alert", False) for r in reports)
+    return merged
 
 
 class _Pending:
@@ -389,36 +450,24 @@ class QualityMonitor:
         """JSON-safe report: totals, per-stratum windows, and ratios.
 
         Each stratum carries its **raw windowed sums** alongside the
-        ratios so per-shard summaries merge by addition (the cluster
-        router recomputes ratios from summed sums — a mean of ratios
-        would weight an idle shard equal to a busy one).
+        ratios so per-shard summaries merge by addition
+        (:func:`merge_summaries`).
         """
         strata: Dict[str, Dict] = {}
         for s in STRATA + ("all",):
             group = STRATA if s == "all" else (s,)
-            joins = sum(self._w_joins[x].value for x in group)
-            mrr_sum = sum(self._w_mrr[x].value for x in group)
-            hits = {
-                str(k): sum(self._w_hits[(x, k)].value for x in group)
-                for k in self.ks
-            }
-            ndcg_sum = {
-                str(k): sum(self._w_ndcg[(x, k)].value for x in group)
-                for k in self.ks
-            }
-            strata[s] = {
-                "window": {
-                    "joins": joins,
-                    "hits": hits,
-                    "mrr_sum": mrr_sum,
-                    "ndcg_sum": ndcg_sum,
+            strata[s] = _stratum_block(
+                joins=sum(self._w_joins[x].value for x in group),
+                hits={
+                    str(k): sum(self._w_hits[(x, k)].value for x in group)
+                    for k in self.ks
                 },
-                "recall": {k: (v / joins if joins else 0.0) for k, v in hits.items()},
-                "mrr": mrr_sum / joins if joins else 0.0,
-                "ndcg": {
-                    k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()
+                mrr_sum=sum(self._w_mrr[x].value for x in group),
+                ndcg_sum={
+                    str(k): sum(self._w_ndcg[(x, k)].value for x in group)
+                    for k in self.ks
                 },
-            }
+            )
         return {
             "enabled": True,
             "window_seconds": self.window_seconds,

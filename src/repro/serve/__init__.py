@@ -26,8 +26,12 @@ Entry points
   bounded-queue admission control (:class:`QueueFullError`), graceful
   draining shutdown, and hot weight reload;
 * :class:`HttpFrontend` — the stdlib HTTP/JSON front door
-  (``/predict``, ``/recommend``, ``/healthz``, ``/stats``,
-  ``/reload``); request/response codecs are
+  (``/predict``, ``/recommend``, ``/checkin``, ``/reload``,
+  ``/healthz``, ``/stats``, ``/metrics``, ``/quality``,
+  ``/debug/slow``) of both tiers: it serves an
+  :class:`InferenceServer` or a :class:`~repro.cluster.ClusterRouter`,
+  which answer the same ``checkin_json``/``predict_json``/
+  ``reload_json`` request surface; request/response codecs are
   :func:`sample_from_json` / :func:`result_to_json`;
 * :func:`compare_throughput` — uncached vs cached (batches of one) vs
   batched vs compiled serving microbench (the batched leg reports

@@ -15,12 +15,26 @@ service.  Three layers, composable and individually testable:
   primary propagates to every worker at once, and each worker's
   embedding cache refreshes itself via the existing
   ``weights_version`` token.
-* :class:`ServerConfig` — batching/pool/backpressure knobs.
+* the JSON request surface — :meth:`InferenceServer.checkin_json`,
+  :meth:`~InferenceServer.predict_json`,
+  :meth:`~InferenceServer.reload_json` and
+  :meth:`~InferenceServer.result_json` turn one request body into one
+  ``(status, body)`` pair.  Validation, backpressure, shutdown and
+  timeouts map to status codes here and nowhere else: the cluster's
+  shard workers (:mod:`repro.cluster.worker`) answer through the same
+  calls.
 * :class:`HttpFrontend` — a stdlib-only HTTP/JSON front door
-  (``/predict``, ``/recommend``, ``/checkin``, ``/healthz``,
-  ``/stats``, ``/reload``) on a threading HTTP server; each connection
-  thread blocks on its request future while the scheduler coalesces
-  concurrent requests into micro-batches.
+  (``/predict``, ``/recommend``, ``/checkin``, ``/reload``,
+  ``/healthz``, ``/stats``, ``/metrics``, ``/quality``,
+  ``/debug/slow``) on a threading HTTP server.  One handler serves
+  both tiers: an :class:`InferenceServer`, or a
+  :class:`~repro.cluster.router.ClusterRouter` that answers the same
+  JSON surface by routing each body to a shard process.  Each
+  connection thread blocks on its request future while the scheduler
+  coalesces concurrent requests into micro-batches.
+
+:class:`ServerConfig` holds the batching/pool/backpressure knobs of
+both tiers (a cluster ships one to every shard).
 
 Stateful serving (``state_store=``): the server owns per-user check-in
 state (:mod:`repro.stream`).  ``POST /checkin`` appends one arrival —
@@ -39,7 +53,7 @@ identical per-request rankings.
 
 Failure containment: a batch that raises fails only its own requests
 (their futures carry the exception); the worker survives and keeps
-serving.  The front-end therefore validates request payloads *before*
+serving.  The request surface therefore validates payloads *before*
 admission (:func:`~repro.serve.protocol.sample_from_json` bounds POI
 ids) so a malformed request gets its own 400 instead of poisoning a
 batch.
@@ -56,7 +70,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import (
     DriftDetector,
@@ -491,6 +505,121 @@ class InferenceServer:
             raise
 
     # ------------------------------------------------------------------
+    # JSON request surface: one (status, body) per POST endpoint
+    # ------------------------------------------------------------------
+    def checkin_json(self, payload: Dict) -> Tuple[int, Dict]:
+        """``POST /checkin``: 200 with the append result, 400 for a bad
+        body or a stateless server, 409 for an out-of-order arrival."""
+        if not self.stateful:
+            return 400, {"error": "this server is stateless; start it with "
+                                  "repro serve --stateful to accept check-ins"}
+        try:
+            with span("validate"):
+                event = event_from_json(payload, num_pois=self.num_pois)
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        try:
+            result = self.checkin(event)
+        except ValueError as error:
+            # out-of-order arrival: the client's clock conflicts with
+            # already-ingested state, not with the schema
+            return 409, {"error": str(error)}
+        return 200, result.as_dict()
+
+    def predict_json(self, payload: Dict, recommend: bool = False) -> Tuple[int, Dict]:
+        """``POST /predict``, or ``POST /recommend`` with ``recommend=True``.
+
+        A body shipping none of ``prefix``/``history``/``target`` is the
+        history-less form ``{"user_id": ...}``, resolved from the state
+        store (404 for a user it has never seen); any other body is a
+        :func:`~repro.serve.protocol.sample_from_json` request.  Bad
+        bodies are 400s, backpressure 429, shutdown 503, and the wait
+        is :meth:`result_json`'s.
+        """
+        k = payload.get("k", 10)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            return 400, {"error": "k must be a positive integer"}
+        # classify the *as-shipped* body before /recommend drops the
+        # target, so both endpoints route a given body identically
+        historyless = not any(key in payload for key in ("prefix", "history", "target"))
+        if recommend:
+            payload = dict(payload)
+            payload.pop("target", None)  # recommendations carry no truth
+        if historyless:
+            # A body that ships history or a target but no prefix is a
+            # broken *stateless* request and keeps its 400 below;
+            # silently serving it from stored state would mask the bug.
+            with span("validate", historyless=True):
+                if not self.stateful:
+                    return 400, {"error": "history-less predict needs a stateful "
+                                          "server; start it with repro serve "
+                                          "--stateful or ship a 'prefix' with "
+                                          "the request"}
+                user_id = payload.get("user_id")
+                if isinstance(user_id, bool) or not isinstance(user_id, int):
+                    return 400, {"error": "user_id must be an integer"}
+                try:
+                    sample = self.state_store.sample_for(user_id)
+                except KeyError:
+                    return 404, {"error": f"no check-in state for user {user_id}"}
+        else:
+            try:
+                with span("validate"):
+                    sample = sample_from_json(payload, num_pois=self.num_pois)
+            except ValueError as error:
+                return 400, {"error": str(error)}
+        try:
+            future = self.submit(sample)
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        except QueueFullError as error:
+            return 429, {"error": str(error), **self.scheduler.stats()}
+        except SchedulerClosedError as error:
+            return 503, {"error": str(error)}
+        status, body = self.result_json(future, k)
+        if recommend and status == 200:
+            body = {
+                "user_id": sample.user_id,
+                "recommendations": body["top_pois"],
+                "num_pois": body["num_pois"],
+            }
+        return status, body
+
+    def result_json(self, future: Future, k: int) -> Tuple[int, Dict]:
+        """Wait for one submitted request and encode its top ``k``.
+
+        504 once ``request_timeout_s`` passes (the request is cancelled,
+        so a worker does not later spend a batch slot on a result nobody
+        waits for), 500 when its batch raised.
+        """
+        timeout = self.config.request_timeout_s
+        try:
+            result = future.result(timeout)
+        except FutureTimeoutError:
+            future.cancel()
+            return 504, {"error": f"request timed out after {timeout}s"}
+        except Exception as error:  # the batch raised
+            return 500, {"error": str(error)}
+        return 200, result_to_json(result, k=k)
+
+    def reload_json(self, payload: Dict) -> Tuple[int, Dict]:
+        """``POST /reload {"checkpoint": path}``: 200 with the new
+        ``weights_version``, 400 for anything that cannot be loaded."""
+        path = payload.get("checkpoint")
+        if not isinstance(path, str) or not path:
+            return 400, {"error": "reload needs a 'checkpoint' path"}
+        try:
+            version = self.reload_weights(path)
+        except FileNotFoundError:
+            return 400, {"error": f"checkpoint not found: {path}"}
+        except Exception as error:
+            # not just ValueError/KeyError: a corrupt or non-.npz file
+            # surfaces as BadZipFile/OSError from np.load, and the
+            # client must get a 400, not a dropped connection
+            return 400, {"error": f"{type(error).__name__}: {error}"}
+        return 200, {"weights_version": version}
+
+    # ------------------------------------------------------------------
     # worker pool
     # ------------------------------------------------------------------
     def _worker_loop(self, index: int, predictor: Predictor) -> None:
@@ -593,6 +722,24 @@ class InferenceServer:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+    def healthz(self) -> Dict:
+        """The ``GET /healthz`` body (a stopping server still answers)."""
+        return {
+            "status": "ok" if self.running else "stopping",
+            "workers": len(self.predictors),
+            "weights_version": self._primary.weights_version(),
+        }
+
+    @property
+    def trace_sample(self) -> float:
+        """The request-tracing rate the HTTP handler samples at."""
+        return self.config.trace_sample
+
+    def offer_trace(self, trace: Trace) -> None:
+        """Count one finished sampled request; keep it if among the slowest."""
+        self._traces_sampled.inc()
+        self.slow_ring.offer(trace)
+
     def stats(self) -> Dict:
         """One JSON-ready snapshot of the whole runtime.
 
@@ -694,7 +841,7 @@ class InferenceServer:
         ever arrive) or when ``quality_window=0`` switched the monitor
         off.  Per-stratum blocks carry raw windowed sums alongside the
         ratios, which is what lets the cluster router merge shard
-        reports by addition.
+        reports by addition (:func:`~repro.obs.quality.merge_summaries`).
         """
         if self.quality is None:
             return {"enabled": False}
@@ -714,265 +861,141 @@ class InferenceServer:
 # ----------------------------------------------------------------------
 # HTTP front-end (stdlib only)
 # ----------------------------------------------------------------------
-def _make_handler(server: InferenceServer):
-    """A request-handler class bound to one :class:`InferenceServer`."""
+_POST_PATHS = ("/predict", "/recommend", "/checkin", "/reload")
 
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve/1.0"
-        protocol_version = "HTTP/1.1"
 
-        # the runtime's stats cover observability; per-request access
-        # logging on stderr would just add noise to benchmarks
-        def log_message(self, format, *args):
-            pass
+class _Handler(BaseHTTPRequestHandler):
+    """The HTTP handler of both serving tiers.
 
-        def _send_json(self, status: int, payload: Dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    ``self.server.app`` is the :class:`HttpFrontend`'s app.  Every POST
+    endpoint is one ``(status, body)`` call on it, so this class only
+    parses JSON, samples the request trace and writes responses.
+    """
 
-        def _send_text(self, status: int, text: str, content_type: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    server_version = "repro-serve/1.0"
+    protocol_version = "HTTP/1.1"
 
-        def _read_json(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                raise ValueError("empty request body")
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise ValueError(f"invalid JSON: {error}") from error
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            return payload
+    # the runtime's stats cover observability; per-request access
+    # logging on stderr would just add noise to benchmarks
+    def log_message(self, format, *args):
+        pass
 
-        def do_GET(self):
-            if self.path == "/healthz":
-                self._send_json(
-                    200,
-                    {
-                        "status": "ok" if server.running else "stopping",
-                        "workers": len(server.predictors),
-                        "weights_version": server.model.weights_version(),
-                    },
-                )
-            elif self.path == "/stats":
-                self._send_json(200, server.stats())
-            elif self.path == "/metrics":
-                self._send_text(
-                    200, server.metrics_text(), "text/plain; version=0.0.4"
-                )
-            elif self.path == "/quality":
-                self._send_json(200, server.quality_report())
-            elif self.path.startswith("/debug/slow"):
-                self._send_json(200, {"slow": server.slow_requests(self._slow_n())})
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        def _slow_n(self) -> int:
-            # /debug/slow?n=25 — bad or absent n falls back to 10
-            _, _, query = self.path.partition("?")
-            for part in query.split("&"):
-                key, _, value = part.partition("=")
-                if key == "n" and value.isdigit():
-                    return max(1, min(int(value), server.slow_ring.capacity))
-            return 10
+    def _send_json(self, status: int, payload: Dict) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json")
 
-        def do_POST(self):
-            if self.path not in ("/predict", "/recommend", "/reload", "/checkin"):
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-                return
-            # Sampled request tracing: the trace is thread-local for
-            # the rest of this handler (submit captures it onto the
-            # ServeRequest; checkin's WAL append sees it directly) and
-            # lands in the slow ring once the response is written.
-            trace = maybe_trace(server.config.trace_sample)
-            try:
-                with activate(trace):
-                    self._dispatch_post()
-            finally:
-                if trace is not None:
-                    server._traces_sampled.inc()
-                    server.slow_ring.offer(trace)
+    def _read_json(self) -> Dict:
+        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.rfile.read(length) if length else b""
+        if not raw:
+            raise ValueError("empty request body")
+        try:
+            payload = json.loads(raw)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"invalid JSON: {error}") from error
+        if not isinstance(payload, dict):
+            raise ValueError("request body must be a JSON object")
+        return payload
 
-        def _dispatch_post(self):
-            with span("http.parse", path=self.path):
-                try:
-                    payload = self._read_json()
-                except ValueError as error:
-                    self._send_json(400, {"error": str(error)})
-                    return
-            if self.path == "/reload":
-                self._reload(payload)
-            elif self.path == "/checkin":
-                self._checkin(payload)
-            else:
-                self._infer(payload, recommend=self.path == "/recommend")
-
-        def _checkin(self, payload: Dict) -> None:
-            if not server.stateful:
-                self._send_json(
-                    400,
-                    {"error": "this server is stateless; start it with "
-                              "repro serve --stateful to accept check-ins"},
-                )
-                return
-            try:
-                with span("validate"):
-                    event = event_from_json(payload, num_pois=server.num_pois)
-            except ValueError as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            try:
-                result = server.checkin(event)
-            except ValueError as error:
-                # out-of-order arrival: the client's clock conflicts
-                # with already-ingested state, not with the schema
-                self._send_json(409, {"error": str(error)})
-                return
-            self._send_json(200, result.as_dict())
-
-        def _stored_sample(self, payload: Dict):
-            """Resolve a history-less request body against the store.
-
-            Returns ``(sample, None)`` or ``(None, handled)`` after
-            sending the error response.
-            """
-            if not server.stateful:
-                self._send_json(
-                    400,
-                    {"error": "history-less predict needs a stateful server; "
-                              "start it with repro serve --stateful or ship "
-                              "a 'prefix' with the request"},
-                )
-                return None, True
-            user_id = payload.get("user_id")
-            if isinstance(user_id, bool) or not isinstance(user_id, int):
-                self._send_json(400, {"error": "user_id must be an integer"})
-                return None, True
-            try:
-                return server.state_store.sample_for(user_id), None
-            except KeyError:
-                self._send_json(
-                    404, {"error": f"no check-in state for user {user_id}"}
-                )
-                return None, True
-
-        def _infer(self, payload: Dict, recommend: bool) -> None:
-            k = payload.get("k", 10)
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                self._send_json(400, {"error": "k must be a positive integer"})
-                return
-            # classify the *as-shipped* body before /recommend drops the
-            # target, so both endpoints route a given body identically
-            historyless = not any(
-                key in payload for key in ("prefix", "history", "target")
+    def do_GET(self):
+        app = self.server.app
+        if self.path == "/healthz":
+            health = app.healthz()
+            # only a cluster with a shard down is unhealthy; a draining
+            # single-process server still answers
+            status = 503 if health["status"] in ("degraded", "down") else 200
+            self._send_json(status, health)
+        elif self.path == "/stats":
+            self._send_json(200, app.stats())
+        elif self.path == "/metrics":
+            self._send(
+                200, app.metrics_text().encode("utf-8"), "text/plain; version=0.0.4"
             )
-            if recommend:
-                payload = dict(payload)
-                payload.pop("target", None)  # recommendations carry no truth
-            if historyless:
-                # history-less form: {"user_id": ...} with no shipped
-                # trajectory data at all — the server resolves the
-                # stored history/prefix before batching.  A body that
-                # ships history or a target but no prefix is a broken
-                # *stateless* request and must keep its 400; silently
-                # serving it from stored state would mask the bug.
-                with span("validate", historyless=True):
-                    sample, handled = self._stored_sample(payload)
-                if handled:
-                    return
-            else:
-                try:
-                    with span("validate"):
-                        sample = sample_from_json(payload, num_pois=server.num_pois)
-                except ValueError as error:
-                    self._send_json(400, {"error": str(error)})
-                    return
-            try:
-                future = server.submit(sample)
-            except QueueFullError as error:
-                self._send_json(
-                    429,
-                    {"error": str(error), **server.scheduler.stats()},
-                )
-                return
-            except SchedulerClosedError as error:
-                self._send_json(503, {"error": str(error)})
-                return
-            try:
-                result = future.result(server.config.request_timeout_s)
-            except FutureTimeoutError:
-                future.cancel()  # still queued -> don't waste a worker on it
-                self._send_json(
-                    504,
-                    {"error": f"request timed out after {server.config.request_timeout_s}s"},
-                )
-                return
-            except Exception as error:  # the batch raised
-                self._send_json(500, {"error": str(error)})
-                return
-            body = result_to_json(result, k=k)
-            if recommend:
-                body = {
-                    "user_id": sample.user_id,
-                    "recommendations": body["top_pois"],
-                    "num_pois": body["num_pois"],
-                }
-            self._send_json(200, body)
+        elif self.path == "/quality":
+            self._send_json(200, app.quality_report())
+        elif self.path.startswith("/debug/slow"):
+            self._send_json(200, {"slow": app.slow_requests(self._slow_n(app))})
+        else:
+            self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
-        def _reload(self, payload: Dict) -> None:
-            path = payload.get("checkpoint")
-            if not isinstance(path, str) or not path:
-                self._send_json(400, {"error": "reload needs a 'checkpoint' path"})
-                return
-            try:
-                version = server.reload_weights(path)
-            except FileNotFoundError:
-                self._send_json(400, {"error": f"checkpoint not found: {path}"})
-                return
-            except Exception as error:
-                # not just ValueError/KeyError: a corrupt or non-.npz
-                # file surfaces as BadZipFile/OSError from np.load, and
-                # the client must get a 400, not a dropped connection
-                self._send_json(400, {"error": f"{type(error).__name__}: {error}"})
-                return
-            self._send_json(200, {"weights_version": version})
+    def _slow_n(self, app) -> int:
+        # /debug/slow?n=25 — bad or absent n falls back to 10
+        _, _, query = self.path.partition("?")
+        for part in query.split("&"):
+            key, _, value = part.partition("=")
+            if key == "n" and value.isdigit():
+                return max(1, min(int(value), app.slow_ring.capacity))
+        return 10
 
-    return Handler
+    def do_POST(self):
+        if self.path not in _POST_PATHS:
+            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            return
+        app = self.server.app
+        # Sampled request tracing: the trace is thread-local for the
+        # rest of this handler (submit captures it onto the
+        # ServeRequest; a check-in's WAL append and the cluster's
+        # routing span see it directly) and reaches the app's slow ring
+        # once the response is written.
+        trace = maybe_trace(app.trace_sample)
+        try:
+            with activate(trace):
+                self._send_json(*self._answer(app))
+        finally:
+            if trace is not None:
+                app.offer_trace(trace)
+
+    def _answer(self, app) -> Tuple[int, Dict]:
+        with span("http.parse", path=self.path):
+            try:
+                payload = self._read_json()
+            except ValueError as error:
+                return 400, {"error": str(error)}
+        if self.path == "/checkin":
+            return app.checkin_json(payload)
+        if self.path == "/reload":
+            return app.reload_json(payload)
+        return app.predict_json(payload, recommend=self.path == "/recommend")
 
 
 class HttpFrontend:
-    """Serve an :class:`InferenceServer` over HTTP/JSON.
+    """Serve an app over HTTP/JSON: an :class:`InferenceServer`, or a
+    :class:`~repro.cluster.router.ClusterRouter` in front of shard
+    processes.
 
     Endpoints: ``POST /predict`` and ``POST /recommend`` (see
     :func:`~repro.serve.protocol.sample_from_json` for the body
-    schema; on a stateful server a body without ``prefix`` is the
+    schema; on a stateful app a body without ``prefix`` is the
     history-less form ``{"user_id": ...}`` served from the state
     store), ``POST /checkin`` (``{"user_id", "poi_id", "timestamp"}``,
-    stateful servers only), ``POST /reload`` (``{"checkpoint": path}``),
-    ``GET /healthz``, ``GET /stats``, ``GET /metrics`` (Prometheus
+    stateful apps only), ``POST /reload`` (``{"checkpoint": path}``;
+    a cluster answers 501), ``GET /healthz`` (503 only for a cluster
+    with a shard down), ``GET /stats``, ``GET /metrics`` (Prometheus
     text), ``GET /quality`` (live prequential accuracy by cold-start
-    stratum plus drift gauges; stateful servers) and
-    ``GET /debug/slow?n=10`` (the worst recent traced
-    requests as span trees).  A threading HTTP server
-    gives each connection its own thread; those threads block on their
-    request futures while the scheduler coalesces them into
-    micro-batches.  ``port=0`` binds an ephemeral port (tests).
+    stratum plus drift gauges; stateful apps) and
+    ``GET /debug/slow?n=10`` (the worst recent traced requests as span
+    trees).
+
+    The app answers the POSTs through ``checkin_json``,
+    ``predict_json`` and ``reload_json``, each returning
+    ``(status, body)``, and the GETs through ``healthz``, ``stats``,
+    ``metrics_text``, ``quality_report`` and ``slow_requests``; it
+    samples request traces at ``trace_sample`` and takes finished ones
+    through ``offer_trace``.  A threading HTTP server gives each
+    connection its own thread.  ``port=0`` binds an ephemeral port
+    (tests).
     """
 
-    def __init__(self, server: InferenceServer, host: str = "127.0.0.1", port: int = 8151):
-        self.inference = server
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(server))
+    def __init__(self, app, host: str = "127.0.0.1", port: int = 8151):
+        self.app = app
+        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd.app = app
         self._httpd.daemon_threads = True
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None

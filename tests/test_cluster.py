@@ -21,14 +21,19 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
-    ClusterHttpFrontend,
     ClusterRouter,
     list_segments,
     list_snapshots,
 )
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
-from repro.serve import InferenceServer, load_checkpoint, save_checkpoint
+from repro.serve import (
+    HttpFrontend,
+    InferenceServer,
+    ServerConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.stream import StoreConfig, UserStateStore
 from repro.stream.events import events_from_checkins
 from repro.utils import spawn
@@ -106,7 +111,7 @@ def control(checkpoint, event_tape):
 
 @pytest.fixture(scope="module")
 def frontend(cluster):
-    front = ClusterHttpFrontend(cluster, port=0).start()
+    front = HttpFrontend(cluster, port=0).start()
     yield front
     front.stop()
 
@@ -511,6 +516,138 @@ class TestClusterHttp:
 
 
 # ----------------------------------------------------------------------
+# one HTTP contract, two tiers
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def control_frontend(control):
+    front = HttpFrontend(control, port=0).start()
+    yield front
+    front.stop()
+
+
+def _exchange(url, data=None):
+    """One round trip: GET without ``data``, else POST the raw bytes."""
+    request = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestOneContract:
+    def test_both_tiers_answer_one_request_table_alike(
+        self, frontend, control_frontend, control, tiny_dataset, event_tape
+    ):
+        """The cluster and a single-process server fed the same tape give
+        equal statuses, and equal bodies for every 200."""
+        user = control.state_store.users()[0]
+        trajectory = next(t for t in tiny_dataset.trajectories.values() if t)[-1]
+        prefix = [
+            {"poi_id": v.poi_id, "timestamp": v.timestamp}
+            for v in trajectory.visits[:3]
+        ]
+        rows = [
+            ("/predict", {"user_id": user, "k": 5}, 200),
+            ("/recommend", {"user_id": user, "k": 3}, 200),
+            ("/predict", {"user_id": user, "prefix": prefix, "k": 5}, 200),
+            ("/recommend", {"prefix": prefix, "k": 4}, 200),
+            ("/predict", {"user_id": 424242}, 404),
+            ("/predict", {"user_id": user, "k": 0}, 400),
+            ("/predict", {"user_id": "three"}, 400),
+            ("/predict", {"user_id": user, "history": [[1]]}, 400),
+            ("/checkin", dict(event_tape[0], timestamp=0.0), 409),
+            ("/checkin", {"user_id": user, "timestamp": 1.0}, 400),
+            ("/predict", b"{not json", 400),
+            ("/nope", None, 404),
+        ]
+        for path, body, expected in rows:
+            data = json.dumps(body).encode() if isinstance(body, dict) else body
+            single = _exchange(control_frontend.url + path, data)
+            clustered = _exchange(frontend.url + path, data)
+            assert single[0] == clustered[0] == expected, (path, body, single, clustered)
+            if expected == 200:
+                assert single[1] == clustered[1], (path, body)
+
+
+class TestShardStatuses:
+    def test_backpressure_is_429_and_shutdown_503(self, checkpoint, tmp_path):
+        """A shard maps a full queue and a closed scheduler to the
+        single-process tier's statuses, not to a 500."""
+        from repro.cluster import DurableIngest, EventLogWriter, WorkerSpec
+        from repro.cluster.worker import _WorkerRuntime
+
+        loaded = load_checkpoint(checkpoint, rng=spawn(42))
+        log = EventLogWriter(tmp_path)
+        ingest = DurableIngest(store=UserStateStore(StoreConfig(num_shards=2)), log=log)
+        # never started: no worker drains the one-slot queue
+        server = InferenceServer(
+            loaded.model,
+            config=ServerConfig(workers=1, max_queue=1),
+            dataset=loaded.dataset,
+            ingest=ingest,
+        )
+        runtime = _WorkerRuntime.__new__(_WorkerRuntime)
+        runtime.spec = WorkerSpec(
+            shard_index=0,
+            persist_dir=str(tmp_path),
+            checkpoint_meta={},
+            weights_manifest={},
+        )
+        runtime.server = server
+        runtime.ingest = ingest
+        bodies = [{"prefix": [1], "k": 5}, {"user_id": 3, "k": 5}]
+        try:
+            checkin = {"user_id": 3, "poi_id": 1, "timestamp": 0.0}
+            assert runtime.handle({"op": "checkin", "event": checkin})["ok"]
+            server.submit_user(3)  # fills the queue
+            for body in bodies:
+                reply = runtime.handle({"op": "predict", "payload": body})
+                assert (reply["ok"], reply["code"]) == (False, 429), reply
+            server.stop(drain=False)
+            for body in bodies:
+                reply = runtime.handle({"op": "predict", "payload": body})
+                assert (reply["ok"], reply["code"]) == (False, 503), reply
+            reply = runtime.handle({
+                "op": "stream",
+                "events": [{"user_id": 3, "poi_id": 2, "timestamp": 1.0}],
+                "predict_every": 1,
+            })
+            assert reply["acks"][0]["ok"]
+            assert [p["code"] for p in reply["predictions"]] == [503]
+        finally:
+            log.close()
+
+
+class TestServeClusterCLI:
+    def test_queue_size_and_shards_reach_the_cluster_config(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.cluster
+        from repro.cli import main
+
+        seen = {}
+
+        class StubRouter:
+            def __init__(self, checkpoint_path, persist_dir, config=None):
+                seen["config"] = config
+                raise ValueError("stub router")
+
+        monkeypatch.setattr(repro.cluster, "ClusterRouter", StubRouter)
+        argv = [
+            "serve", "--cluster", "2",
+            "--checkpoint", str(tmp_path / "x.npz"),
+            "--persist", str(tmp_path / "state"),
+            "--queue-size", "7", "--shards", "3",
+        ]
+        assert main(argv) == 2
+        assert seen["config"].server.max_queue == 7
+        assert seen["config"].store.num_shards == 3
+
+
+# ----------------------------------------------------------------------
 # compiled-plan path through the cluster tier
 # ----------------------------------------------------------------------
 class TestCompiledClusterIdentity:
@@ -523,14 +660,19 @@ class TestCompiledClusterIdentity:
         self, checkpoint, event_tape, tmp_path
     ):
         config = small_cluster_config(snapshot_interval=40)
-        eager_config = small_cluster_config(snapshot_interval=40, compile=False)
+        eager_config = small_cluster_config(
+            snapshot_interval=40,
+            server=ServerConfig(
+                workers=1, max_wait_ms=2.0, request_timeout_s=30.0, compile=False
+            ),
+        )
         compiled = ClusterRouter(checkpoint, tmp_path / "compiled", config=config)
         eager = ClusterRouter(checkpoint, tmp_path / "eager", config=eager_config)
         compiled.start()
         eager.start()
         try:
-            assert all(shard.spec.compile for shard in compiled.shards)
-            assert not any(shard.spec.compile for shard in eager.shards)
+            assert all(shard.spec.server.compile for shard in compiled.shards)
+            assert not any(shard.spec.server.compile for shard in eager.shards)
 
             half = len(event_tape) // 2
             compiled.stream_events(event_tape[:half])

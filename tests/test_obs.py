@@ -18,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterHttpFrontend, ClusterRouter
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
 from repro.obs import (
@@ -534,7 +534,9 @@ def traced_cluster(tiny, checkpoint, tmp_path_factory):
         snapshot_interval=50,
         heartbeat_interval_s=0.5,
         auto_restart=False,
-        trace_sample=1.0,
+        server=ServerConfig(
+            workers=1, max_wait_ms=2.0, request_timeout_s=30.0, trace_sample=1.0
+        ),
     )
     router = ClusterRouter(
         checkpoint, tmp_path_factory.mktemp("persist"), config=config
@@ -616,7 +618,7 @@ class TestClusterTracing:
 
     def test_cluster_http_metrics_and_slow(self, traced_cluster):
         router, _ = traced_cluster
-        with ClusterHttpFrontend(router, port=0) as front:
+        with HttpFrontend(router, port=0) as front:
             status, text = _get(f"{front.url}/metrics", parse=False)
             assert status == 200
             assert parse_prometheus(text)

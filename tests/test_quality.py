@@ -11,6 +11,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
@@ -20,11 +22,12 @@ from repro.obs import (
     QualityMonitor,
     WindowedCounter,
     cold_start_stratum,
+    merge_summaries,
     merge_windowed_snapshots,
     parse_prometheus,
     render_prometheus,
 )
-from repro.cluster import ClusterConfig, ClusterHttpFrontend, ClusterRouter
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.serve import HttpFrontend, InferenceServer, ServerConfig, save_checkpoint
 from repro.stream import (
     CheckinEvent,
@@ -270,6 +273,62 @@ class TestQualityMonitor:
             ("repro_quality_recall", (("k", "5"), ("stratum", "all")))
         ] == 1.0
         assert parsed[("repro_quality_pending", ())] == 0.0
+
+
+# one labelled prediction: user, prior sessions (the cold-start stratum),
+# served ranked list, label POI, seconds since the previous prediction
+labelled_predictions = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 30), min_size=1, max_size=25, unique=True),
+        st.integers(0, 30),
+        st.floats(0.0, 400.0),
+    ),
+    max_size=40,
+)
+
+
+class TestMergeSummaries:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        predictions=labelled_predictions,
+        monitors=st.integers(1, 3),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_merged_split_equals_one_monitor(self, predictions, monitors, order):
+        """Monitors that split the users between them merge into the
+        monitor that saw everything: counts add, ratios come from sums.
+
+        The shared fake clock ages early joins out of every window alike.
+        """
+        clock = FakeClock(0.0)
+        kwargs = dict(window_seconds=900.0, slots=6, clock=clock)
+        whole = QualityMonitor(**kwargs)
+        parts = [QualityMonitor(**kwargs) for _ in range(monitors)]
+        for user, sessions, ranked, label, elapsed in predictions:
+            clock.now += elapsed
+            sample = Sample(user, history=[()] * sessions, target=Visit(label, 0.0))
+            whole.record(sample, Result(ranked))
+            parts[user % monitors].record(sample, Result(ranked))
+        summaries = [part.summary() for part in parts]
+        order.shuffle(summaries)
+        merged = merge_summaries(summaries)
+        expected = whole.summary()
+        for key in ("predictions", "joins", "pending", "expired", "replaced", "evicted"):
+            assert merged[key] == expected[key], key
+        assert merged["strata"].keys() == expected["strata"].keys()
+        for stratum, want in expected["strata"].items():
+            got = merged["strata"][stratum]
+            assert got["window"]["joins"] == want["window"]["joins"]
+            assert got["window"]["hits"] == want["window"]["hits"]
+            assert got["recall"] == want["recall"]
+            for key in ("mrr_sum", "ndcg_sum"):
+                assert got["window"][key] == pytest.approx(
+                    want["window"][key], rel=1e-12, abs=0.0
+                )
+            for key in ("mrr", "ndcg"):
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +644,6 @@ class TestClusterQuality:
             snapshot_interval=50,
             heartbeat_interval_s=0.5,
             auto_restart=False,
-            quality_topk=20,
         )
         router = ClusterRouter(checkpoint, tmp_path / "persist", config=config)
         router.start()
@@ -615,7 +673,7 @@ class TestClusterQuality:
             })
             assert reply["ok"], reply
 
-        report = cluster.quality()
+        report = cluster.quality_report()
         assert report["enabled"] is True
         assert [s["status"] for s in report["shards"]] == ["ok", "ok"]
         merged = report["cluster"]
@@ -639,7 +697,7 @@ class TestClusterQuality:
             )
         assert isinstance(merged["drift_alert"], bool)
 
-        with ClusterHttpFrontend(cluster, port=0) as front:
+        with HttpFrontend(cluster, port=0) as front:
             with urllib.request.urlopen(front.url + "/quality", timeout=30) as r:
                 assert r.status == 200
                 http_report = json.loads(r.read())
@@ -649,13 +707,13 @@ class TestClusterQuality:
             victim = cluster.shards[1]
             os.kill(victim.pid, signal.SIGKILL)
             deadline = time.time() + 10.0
-            degraded = cluster.quality()
+            degraded = cluster.quality_report()
             while (
                 all(s["status"] == "ok" for s in degraded["shards"])
                 and time.time() < deadline
             ):
                 time.sleep(0.2)
-                degraded = cluster.quality()
+                degraded = cluster.quality_report()
             statuses = {s["shard"]: s["status"] for s in degraded["shards"]}
             assert statuses[1] == "down"
             assert statuses[0] == "ok"
