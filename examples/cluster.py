@@ -5,8 +5,9 @@ single-process stateful path).  Four stops:
 
 1. save a checkpoint and start a 2-shard cluster over it: each shard
    is a separate OS process with its own event log and snapshots under
-   ``persist/shard-NN/``, its model weights zero-copy views into one
-   shared-memory block, and its users assigned by consistent hashing;
+   ``persist/shard-NN/``, its model loaded from the copy of the
+   checkpoint the router pins at ``persist/checkpoint.npz``, and its
+   users assigned by consistent hashing;
 2. stream check-ins through the router and ask for predictions — the
    same ``/checkin`` / ``/predict`` contract as the single-process
    tier, now fanned across processes;
@@ -59,9 +60,9 @@ def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
 
     # 0. A checkpoint is the unit of deployment: config + weights +
-    #    dataset recipe.  Workers rebuild the (seeded, deterministic)
-    #    dataset from the recipe and attach the weights through shared
-    #    memory — the .npz is read exactly once, by the router.
+    #    dataset recipe.  Every shard loads it the way the
+    #    single-process tier does, rebuilding the (seeded,
+    #    deterministic) dataset from the recipe.
     dataset = build_dataset("nyc", seed=7, scale=0.2, imagery_resolution=16)
     model = TSPNRA.from_dataset(
         dataset,

@@ -14,8 +14,10 @@ Runs in about a minute on a laptop CPU:
 """
 
 import json
+import tempfile
 import threading
 import urllib.request
+from pathlib import Path
 
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
@@ -48,7 +50,8 @@ def main() -> None:
     Trainer(
         model, TrainConfig(epochs=3, batch_size=8, lr=5e-3, max_train_samples=200, seed=7)
     ).fit(splits.train)
-    checkpoint = save_checkpoint(model, "serving_demo.npz", dataset=dataset)
+    workdir = Path(tempfile.mkdtemp(prefix="repro-serving-"))
+    checkpoint = save_checkpoint(model, workdir / "model.npz", dataset=dataset)
     print(f"checkpoint saved to {checkpoint}")
 
     # 2. The async serving runtime: a worker pool of Predictor replicas

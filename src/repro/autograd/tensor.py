@@ -603,9 +603,6 @@ class Tensor:
             kernel=lambda out, a: a.reshape(shape),
         )
 
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
-
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])

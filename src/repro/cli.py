@@ -245,8 +245,8 @@ def _cmd_serve_cluster(args) -> int:
     from .serve import HttpFrontend
 
     if not args.checkpoint:
-        print("serve: --cluster needs --checkpoint (workers attach its "
-              "weights through shared memory)", file=sys.stderr)
+        print("serve: --cluster needs --checkpoint (every shard loads "
+              "its model from it)", file=sys.stderr)
         return 2
     if not args.persist:
         print("serve: --cluster needs --persist DIR (each shard keeps its "

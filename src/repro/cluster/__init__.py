@@ -5,10 +5,10 @@ Three layers on top of :mod:`repro.stream` and :mod:`repro.serve`:
 * **Durability** (:mod:`.wal`, :mod:`.snapshot`, :mod:`.recovery`) — an
   append-only event log plus periodic store snapshots; recovery is
   "load newest snapshot, fold the log tail".
-* **Process pool** (:mod:`.sharedmem`, :mod:`.worker`) — shard worker
-  subprocesses wrapping :class:`~repro.serve.server.InferenceServer`,
-  with checkpoint weights shared zero-copy through
-  ``multiprocessing.shared_memory``.
+* **Process pool** (:mod:`.worker`) — shard worker subprocesses
+  wrapping :class:`~repro.serve.server.InferenceServer`, each loading
+  the router's pinned copy of the checkpoint with the single-process
+  tier's :func:`~repro.serve.checkpoint.load_checkpoint`.
 * **Routing** (:mod:`.ring`, :mod:`.router`) — a consistent-hash
   router that owns the worker pool, supervises heartbeats, and answers
   the single-process server's JSON request surface, so
@@ -19,7 +19,6 @@ Three layers on top of :mod:`repro.stream` and :mod:`repro.serve`:
 from .recovery import DurableIngest, RecoveryResult, recover_store
 from .ring import HashRing
 from .router import ClusterConfig, ClusterRouter
-from .sharedmem import SharedWeights, assign_shared_parameters
 from .worker import ShardError, ShardHandle, WorkerSpec
 from .snapshot import (
     SNAPSHOT_FORMAT,
@@ -48,8 +47,6 @@ __all__ = [
     "ShardError",
     "ShardHandle",
     "WorkerSpec",
-    "SharedWeights",
-    "assign_shared_parameters",
     "SNAPSHOT_FORMAT",
     "SnapshotError",
     "list_snapshots",

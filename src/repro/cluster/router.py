@@ -1,7 +1,8 @@
 """The cluster's routing layer: shard pool ownership, routing, supervision.
 
-:class:`ClusterRouter` is the parent process's brain.  It reads the
-checkpoint once, publishes the weights into shared memory, spawns one
+:class:`ClusterRouter` is the parent process's brain.  It checks the
+checkpoint once, pins a copy of it at ``<persist>/checkpoint.npz`` for
+every shard to load, spawns one
 :class:`~repro.cluster.worker.ShardHandle` per shard over per-shard
 persistence directories (``<persist>/shard-NN/``), and routes every
 user-keyed operation through the consistent-hash ring.  A supervisor
@@ -19,6 +20,8 @@ The router answers the single-process server's JSON request surface
 from __future__ import annotations
 
 import logging
+import os
+import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +41,6 @@ from ..obs import (
 from ..serve.server import ServerConfig
 from ..stream.state import StoreConfig
 from .ring import HashRing
-from .sharedmem import SharedWeights
 from .wal import FSYNC_POLICIES
 from .worker import SHARD_SERVER, SHARD_STORE, ShardError, ShardHandle, WorkerSpec
 
@@ -80,21 +82,21 @@ class ClusterRouter:
         self.config = config or ClusterConfig()
         self.checkpoint_path = str(checkpoint_path)
         self.persist_dir = Path(persist_dir)
-        meta, params, extra = read_checkpoint(checkpoint_path)
-        if extra:
-            # extra:: arrays (MC count tables etc.) aren't in state_dict,
-            # so the shared-weights path can't carry them yet
-            raise ValueError(
-                "cluster serving supports state_dict-only checkpoints; "
-                f"this one carries extra state: {sorted(extra)}"
-            )
+        meta, _, _ = read_checkpoint(checkpoint_path)
         if "dataset" not in meta:
             raise ValueError(
                 "cluster serving needs a self-contained checkpoint "
                 "(saved with dataset=) so every shard can rebuild the dataset"
             )
         self.meta = meta
-        self.weights = SharedWeights.create(params)
+        # Every shard start and restart loads this copy, not the
+        # caller's file: replacing that file mid-run must not leave a
+        # restarted shard serving other weights than its peers.
+        self.persist_dir.mkdir(parents=True, exist_ok=True)
+        self.pinned_checkpoint = self.persist_dir / "checkpoint.npz"
+        partial = self.persist_dir / "checkpoint.npz.partial"
+        shutil.copyfile(checkpoint_path, partial)
+        os.replace(partial, self.pinned_checkpoint)
         self.ring = HashRing(range(self.config.num_shards))
         self.shards: List[ShardHandle] = [
             ShardHandle(self._spec(index)) for index in range(self.config.num_shards)
@@ -134,8 +136,7 @@ class ClusterRouter:
         return WorkerSpec(
             shard_index=index,
             persist_dir=str(self.persist_dir / f"shard-{index:02d}"),
-            checkpoint_meta=self.meta,
-            weights_manifest=self.weights.manifest,
+            checkpoint_path=str(self.pinned_checkpoint),
             fsync=c.fsync,
             snapshot_interval=c.snapshot_interval,
             segment_max_records=c.segment_max_records,
@@ -167,7 +168,6 @@ class ClusterRouter:
             for shard in self.shards:
                 if shard.alive:
                     shard.kill()
-            self.weights.unlink()
             raise
         self._supervisor = threading.Thread(
             target=self._supervise, name="cluster-supervisor", daemon=True
@@ -183,7 +183,6 @@ class ClusterRouter:
             self._supervisor = None
         for shard in self.shards:
             shard.shutdown()
-        self.weights.unlink()
         self._started = False
 
     def __enter__(self) -> "ClusterRouter":
@@ -320,9 +319,9 @@ class ClusterRouter:
         return self._answer(self.predict, payload, recommend)
 
     def reload_json(self, payload: Dict) -> Tuple[int, Dict]:
-        # Hot weight swap would need a new shared-memory generation plus
-        # a coordinated cut-over across workers; a half-switched cluster
-        # serving two weight versions is worse than "restart to reload".
+        # Hot weight swap would need a coordinated cut-over across
+        # shards; a half-switched cluster serving two weight versions
+        # is worse than "restart to reload".
         return 501, {"error": "cluster weight reload is not supported; "
                               "restart the cluster with the new checkpoint"}
 
@@ -571,10 +570,6 @@ class ClusterRouter:
             },
             "checkpoint": self.checkpoint_path,
             "model": self.meta.get("model_name"),
-            "weights": {
-                "shm_name": self.weights.manifest["shm_name"],
-                "bytes": self.weights.manifest["size"],
-            },
             "tracing": {
                 "sample_rate": self.config.server.trace_sample,
                 "sampled": int(self._traces_sampled.value),

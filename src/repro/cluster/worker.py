@@ -4,16 +4,17 @@ A shard worker subprocess owns one consistent-hash shard of the user
 space: its own :class:`~repro.stream.state.UserStateStore`, its own
 event log + snapshots under ``<persist>/shard-NN/``, and a full
 :class:`~repro.serve.server.InferenceServer` (micro-batch scheduler and
-predictor pool) whose model weights are zero-copy views into the
-parent's shared-memory block (:mod:`repro.cluster.sharedmem`).  A
-shard answers check-ins and predictions through that server's JSON
-request surface (``checkin_json``/``predict_json``), so a status code
-means the same on both tiers; the router turns the reply back into
-the HTTP status the single-process handler would send.
+predictor pool) over a model built by
+:func:`~repro.serve.checkpoint.load_checkpoint`, the single-process
+tier's loader, from the copy of the checkpoint the router pinned at
+construction.  A shard answers check-ins and predictions through that
+server's JSON request surface (``checkin_json``/``predict_json``), so
+a status code means the same on both tiers; the router turns the
+reply back into the HTTP status the single-process handler would send.
 
-Startup is recovery: the worker main rebuilds the dataset from the
-checkpoint recipe (deterministic — every shard and every restart sees
-the identical dataset), attaches the shared weights, folds its
+Startup is recovery: the worker main loads the pinned checkpoint,
+rebuilding the dataset from its recipe (deterministic — every shard
+and every restart sees the identical dataset and weights), folds its
 persistence directory back into a store, and only then reports ready.
 A SIGKILLed shard restarted by the supervisor therefore comes back
 with the exact acknowledged ``state_version``s it died with.
@@ -41,13 +42,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs.tracing import Trace, activate, span
-from ..serve.checkpoint import build_dataset_from_meta, build_model_from_meta
+from ..serve.checkpoint import load_checkpoint
 from ..serve.protocol import sample_from_json
 from ..serve.scheduler import QueueFullError, SchedulerClosedError
 from ..serve.server import InferenceServer, ServerConfig
 from ..stream.state import StoreConfig
 from .recovery import DurableIngest, recover_store
-from .sharedmem import SharedWeights, assign_shared_parameters
 from .wal import EventLogWriter
 
 logger = logging.getLogger("repro.cluster.worker")
@@ -71,17 +71,17 @@ SHARD_STORE = StoreConfig(num_shards=4)
 class WorkerSpec:
     """Everything a shard worker needs, shippable through ``spawn``.
 
-    The checkpoint travels as ``meta`` (JSON-safe dict) plus the
-    shared-memory ``manifest`` — never as weight arrays.  The event-log
-    knobs are plain fields; the serving and store knobs are the
-    single-process tier's own frozen :class:`ServerConfig` and
-    :class:`StoreConfig`, which pickle under any start method.
+    The checkpoint travels as a path — the router's pinned copy, which
+    every start and restart of every shard loads — never as weight
+    arrays.  The event-log knobs are plain fields; the serving and
+    store knobs are the single-process tier's own frozen
+    :class:`ServerConfig` and :class:`StoreConfig`, which pickle under
+    any start method.
     """
 
     shard_index: int
     persist_dir: str
-    checkpoint_meta: Dict
-    weights_manifest: Dict
+    checkpoint_path: str
     fsync: str = "rotate"
     snapshot_interval: int = 1000
     segment_max_records: int = 10000
@@ -105,11 +105,7 @@ class _WorkerRuntime:
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
-        self.weights = SharedWeights.attach(spec.weights_manifest)
-        dataset = build_dataset_from_meta(spec.checkpoint_meta)
-        model = build_model_from_meta(spec.checkpoint_meta, dataset)
-        assign_shared_parameters(model, self.weights.arrays())
-        model.eval()
+        loaded = load_checkpoint(spec.checkpoint_path)
         self.recovery = recover_store(spec.persist_dir, config=spec.store)
         self.log = EventLogWriter(
             spec.persist_dir,
@@ -123,7 +119,7 @@ class _WorkerRuntime:
             snapshot_interval=spec.snapshot_interval,
         )
         self.server = InferenceServer(
-            model, config=spec.server, dataset=dataset, ingest=self.ingest
+            loaded.model, config=spec.server, dataset=loaded.dataset, ingest=self.ingest
         )
         self.server.start()
         # First-prediction warmup: a fresh interpreter pays one-time
@@ -274,7 +270,6 @@ class _WorkerRuntime:
         if final_snapshot:
             self.ingest.maybe_snapshot(force=True)
         self.log.close()
-        self.weights.close()
 
 
 def _control_loop(runtime: _WorkerRuntime, conn) -> None:

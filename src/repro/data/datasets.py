@@ -21,7 +21,7 @@ proportionally for users who want bigger runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -181,11 +181,6 @@ class Dataset:
 
     def leaf_of_poi(self, poi_id: int) -> int:
         return self.quadtree.leaf_of_poi(poi_id)
-
-    def normalized_location(self, poi_id: int) -> Tuple[float, float]:
-        """POI location mapped to the unit square (spatial-encoder input)."""
-        x, y = self.city.pois.location_of(poi_id)
-        return self.spec.bbox.normalize(x, y)
 
 
 def _build_land_use(spec: DatasetSpec, rng: np.random.Generator) -> LandUseMap:

@@ -62,9 +62,6 @@ class POISet:
         x, y = self.xy[poi_id]
         return float(x), float(y)
 
-    def category_of(self, poi_id: int) -> int:
-        return int(self.categories[poi_id])
-
     def pois_with_category(self, category: int) -> np.ndarray:
         return np.nonzero(self.categories == category)[0]
 

@@ -121,9 +121,6 @@ class LandUseMap:
             out = np.where(self.coast.is_water(xs, ys), int(LandUse.WATER), out)
         return out
 
-    def is_land(self, x: float, y: float) -> bool:
-        return self.class_at(x, y) != LandUse.WATER
-
     def coastal_band(self, x: float, y: float, width: float) -> bool:
         """True when (x, y) lies on land within ``width`` of the shore."""
         if self.coast is None:

@@ -25,7 +25,6 @@ from .metrics import (
     WindowedCounter,
     get_registry,
     merge_histogram_snapshots,
-    merge_windowed_snapshots,
     snapshot_percentile,
 )
 from .tracing import (
@@ -51,7 +50,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "merge_histogram_snapshots",
-    "merge_windowed_snapshots",
     "snapshot_percentile",
     "SlowRing",
     "Span",

@@ -212,13 +212,6 @@ def parse_prometheus(text: str) -> Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
 # ----------------------------------------------------------------------
 # scrape diffing (repro obs-report)
 # ----------------------------------------------------------------------
-def _series_by_name(parsed: Mapping) -> Dict[str, List[Tuple[Tuple[Tuple[str, str], ...], float]]]:
-    grouped: Dict[str, List] = {}
-    for (name, labels), value in parsed.items():
-        grouped.setdefault(name, []).append((labels, value))
-    return grouped
-
-
 def diff_scrapes(before_text: str, after_text: str) -> Dict:
     """Two scrapes → rates and interval latency quantiles.
 

@@ -260,10 +260,6 @@ class Trace:
             "spans": [node(i) for i in children.get(None, [])],
         }
 
-    def span_names(self) -> List[str]:
-        with self._lock:
-            return [s.name for s in self.spans]
-
 
 # ----------------------------------------------------------------------
 # thread-local activation

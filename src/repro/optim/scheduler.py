@@ -19,7 +19,3 @@ class ExponentialDecay:
     def step(self) -> None:
         self._epochs += 1
         self.optimizer.lr = self.base_lr * (self.gamma ** self._epochs)
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr

@@ -123,9 +123,9 @@ def apply_extra_state(model, extra: Dict[str, np.ndarray], strict: bool = True) 
 def build_dataset_from_meta(meta, path="<checkpoint>"):
     """Rebuild the dataset a checkpoint's ``meta`` recipe describes.
 
-    Shard workers call this directly: the recipe is seeded, so every
-    worker rebuilds the *identical* dataset without shipping it across
-    the process boundary.
+    The recipe is seeded, so every loader — each cluster shard process
+    included — rebuilds the *identical* dataset without shipping it
+    across a process boundary.
     """
     from ..data import build_dataset
 
@@ -148,9 +148,8 @@ def build_dataset_from_meta(meta, path="<checkpoint>"):
 def build_model_from_meta(meta, dataset, rng=None):
     """Construct the (unweighted) model skeleton ``meta`` describes.
 
-    The factory half of :func:`load_checkpoint`, exposed for callers
-    that source weights elsewhere — e.g. cluster workers adopting
-    shared-memory views instead of re-reading the ``.npz``.
+    The factory half of :func:`load_checkpoint`, which then restores
+    the weights and extra state into it.
     """
     from ..baselines import make_baseline
     from ..baselines.markov import MarkovChain

@@ -5,7 +5,10 @@ checkpoint) is compared against a single-process control
 ``InferenceServer`` fed the identical event tape: same acks, same
 ``state_version``s, same ranked lists.  The kill-and-recover tests
 SIGKILL a shard mid-ingest and assert the restarted process serves
-exactly the state the control never lost.
+exactly the state the control never lost.  Shards load the checkpoint
+with the single-process tier's loader: baseline checkpoints rank alike
+on both tiers, and a restarted shard keeps the starting weights after
+the checkpoint file is replaced.
 
 Worker processes spawn (~seconds each): everything that can share the
 module cluster does, and the multi-cycle crash loop is marked slow.
@@ -17,8 +20,10 @@ import signal
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.baselines import make_baseline
 from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
@@ -26,7 +31,7 @@ from repro.cluster import (
     list_snapshots,
 )
 from repro.core import TSPNRA, TSPNRAConfig
-from repro.data import build_dataset
+from repro.data import build_dataset, make_samples
 from repro.serve import (
     HttpFrontend,
     InferenceServer,
@@ -225,8 +230,7 @@ class TestShardHandleGenerations:
             WorkerSpec(
                 shard_index=0,
                 persist_dir="unused",
-                checkpoint_meta={},
-                weights_manifest={},
+                checkpoint_path="unused",
             )
         )
         stale = handle._generation
@@ -427,6 +431,100 @@ class TestKillAndRecover:
 
 
 # ----------------------------------------------------------------------
+# shards load the checkpoint like the single-process tier
+# ----------------------------------------------------------------------
+def _stateless_body(samples):
+    """A ``/predict`` body shipping one sample's prefix and history."""
+    sample = next(s for s in samples if s.history)
+
+    def visits(seq):
+        return [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in seq]
+
+    return {
+        "user_id": sample.user_id,
+        "prefix": visits(sample.prefix),
+        "history": [visits(t.visits) for t in sample.history],
+        "k": 10,
+    }
+
+
+def _single_process_answer(path, body, dataset):
+    """``InferenceServer.from_checkpoint(path).predict_json(body)``, with
+    an explicit rng: the loaded skeleton's init draws are overwritten by
+    the checkpoint, and must not shift the process default generator."""
+    loaded = load_checkpoint(path, dataset=dataset, rng=spawn(42))
+    server = InferenceServer(loaded.model, dataset=loaded.dataset).start()
+    try:
+        return server.predict_json(body)
+    finally:
+        server.stop()
+
+
+class TestShardCheckpointLoading:
+    @pytest.mark.parametrize("name", ["MC", "Graph-Flashback"])
+    def test_baseline_checkpoint_matches_single_process_tier(
+        self, name, tiny_dataset, tmp_path
+    ):
+        """Shards load fitted baseline state (MC's count tables,
+        Graph-Flashback's transition graph) and rank like the
+        single-process tier."""
+        samples = make_samples(tiny_dataset)
+        locations = np.array(
+            [tiny_dataset.spec.bbox.normalize(x, y) for x, y in tiny_dataset.city.pois.xy]
+        )
+        model = make_baseline(
+            name, len(tiny_dataset.city.pois), locations, dim=16, rng=spawn(4)
+        )
+        if name == "MC":
+            model.fit(samples)
+        else:
+            model.fit_transition_graph(samples)
+        path = save_checkpoint(model, tmp_path / "baseline.npz", dataset=tiny_dataset)
+        body = _stateless_body(samples)
+
+        router = ClusterRouter(
+            path, tmp_path / "persist", config=small_cluster_config(num_shards=1)
+        )
+        router.start()
+        try:
+            clustered = router.predict_json(body)
+        finally:
+            router.stop()
+        assert clustered[0] == 200, clustered
+        assert clustered == _single_process_answer(path, body, tiny_dataset)
+
+    def test_restarted_shard_serves_the_starting_weights(
+        self, tiny_dataset, tmp_path
+    ):
+        """Replacing the checkpoint file mid-run does not reach a shard
+        that restarts: the cluster keeps serving one set of weights."""
+        live = tmp_path / "live.npz"
+        first = TSPNRA.from_dataset(tiny_dataset, TSPNRAConfig(**CFG), rng=spawn(0))
+        save_checkpoint(first, live, dataset=tiny_dataset)
+        body = _stateless_body(make_samples(tiny_dataset))
+
+        router = ClusterRouter(
+            live, tmp_path / "persist", config=small_cluster_config(num_shards=1)
+        )
+        router.start()
+        try:
+            before = router.predict_json(body)
+            assert before[0] == 200, before
+
+            other = TSPNRA.from_dataset(tiny_dataset, TSPNRAConfig(**CFG), rng=spawn(1))
+            save_checkpoint(other, live, dataset=tiny_dataset)
+            # the replacement ranks this body differently, so serving it
+            # would show below
+            assert _single_process_answer(live, body, tiny_dataset) != before
+
+            sigkill(router.shards[0])
+            assert router.restart_shard(0)["ok"]
+            assert router.predict_json(body) == before
+        finally:
+            router.stop()
+
+
+# ----------------------------------------------------------------------
 # HTTP surface
 # ----------------------------------------------------------------------
 class TestClusterHttp:
@@ -593,8 +691,7 @@ class TestShardStatuses:
         runtime.spec = WorkerSpec(
             shard_index=0,
             persist_dir=str(tmp_path),
-            checkpoint_meta={},
-            weights_manifest={},
+            checkpoint_path="unused",
         )
         runtime.server = server
         runtime.ingest = ingest

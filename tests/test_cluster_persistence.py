@@ -1,10 +1,10 @@
-"""Durability layer of repro.cluster: WAL, snapshots, recovery, shm.
+"""Durability layer of repro.cluster: WAL, snapshots, recovery.
 
 Everything here is in-process (no subprocesses): the event log's
 torn-write contract, snapshot round-trips, the recovery fold's
 exactness against a never-persisted control store, the DurableIngest
-ack-is-commit ordering, shared-memory weight adoption, and the
-consistent-hash ring's determinism and balance.
+ack-is-commit ordering, and the consistent-hash ring's determinism
+and balance.
 """
 
 import json
@@ -12,7 +12,6 @@ import logging
 import tempfile
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +20,8 @@ from repro.cluster import (
     DurableIngest,
     EventLogWriter,
     HashRing,
-    SharedWeights,
     SnapshotError,
     WalCorruptionError,
-    assign_shared_parameters,
     list_segments,
     list_snapshots,
     load_snapshot,
@@ -33,24 +30,12 @@ from repro.cluster import (
     recover_store,
     save_snapshot,
 )
-from repro.core import TSPNRA, TSPNRAConfig
-from repro.data import build_dataset
-from repro.data.trajectory import PredictionSample
-from repro.serve.predictor import Predictor
 from repro.stream.events import CheckinEvent, event_from_json
 from repro.stream.state import StoreConfig, UserStateStore
-from repro.utils import spawn
-
-CFG = dict(dim=16, fusion_layers=1, hgat_layers=1, top_k=4, num_heads=2)
 
 STORE_CFG = StoreConfig(
     num_shards=4, max_sessions=8, max_session_visits=16, gap_hours=24.0
 )
-
-
-@pytest.fixture(scope="module")
-def tiny_dataset():
-    return build_dataset("nyc", seed=0, scale=0.12, imagery_resolution=16)
 
 
 def ev(user, poi, t):
@@ -570,76 +555,6 @@ class TestRecovery:
             assert durable.maybe_snapshot() is None  # interval not reached
             path = durable.maybe_snapshot(force=True)
             assert path is not None and path.exists()
-
-
-# ----------------------------------------------------------------------
-# shared-memory weights
-# ----------------------------------------------------------------------
-class TestSharedWeights:
-    def test_arrays_round_trip_and_are_read_only(self):
-        source = {
-            "a": np.arange(12, dtype=np.float64).reshape(3, 4),
-            "b": np.array([1, 2, 3], dtype=np.int64),
-        }
-        shared = SharedWeights.create(source)
-        try:
-            views = shared.arrays()
-            for name, array in source.items():
-                assert np.array_equal(views[name], array)
-                assert not views[name].flags.writeable
-                with pytest.raises(ValueError):
-                    views[name][...] = 0
-        finally:
-            shared.unlink()
-
-    def test_attach_sees_creator_data(self):
-        source = {"w": np.linspace(0, 1, 7)}
-        owner = SharedWeights.create(source)
-        try:
-            attached = SharedWeights.attach(owner.manifest)
-            assert np.array_equal(attached.arrays()["w"], source["w"])
-            assert not attached.owner
-            attached.close()
-        finally:
-            owner.unlink()
-
-    def test_assign_rejects_name_mismatch(self, tiny_dataset):
-        model = TSPNRA.from_dataset(
-            tiny_dataset, TSPNRAConfig(**CFG), rng=spawn(0)
-        )
-        shared = SharedWeights.create({"bogus": np.zeros(3)})
-        try:
-            with pytest.raises(KeyError, match="mismatch"):
-                assign_shared_parameters(model, shared.arrays())
-        finally:
-            shared.unlink()
-
-    def test_adopted_model_predicts_identically(self, tiny_dataset):
-        weights_owner = TSPNRA.from_dataset(
-            tiny_dataset, TSPNRAConfig(**CFG), rng=spawn(0)
-        )
-        adopter = TSPNRA.from_dataset(
-            tiny_dataset, TSPNRAConfig(**CFG), rng=spawn(1)  # different init
-        )
-        shared = SharedWeights.create(weights_owner.state_dict())
-        try:
-            assign_shared_parameters(adopter, shared.arrays())
-            user, trajs = next(
-                (u, t) for u, t in tiny_dataset.trajectories.items() if len(t) >= 2
-            )
-            sample = PredictionSample(
-                user_id=user,
-                history=trajs[:-1],
-                prefix=list(trajs[-1].visits[:-1]),
-                target=trajs[-1].visits[-1],
-                history_key=("test", user, 0),
-            )
-            a = Predictor(weights_owner).predict(sample)
-            b = Predictor(adopter).predict(sample)
-            assert a.ranked_pois == b.ranked_pois
-            assert a.poi_rank == b.poi_rank
-        finally:
-            shared.unlink()
 
 
 # ----------------------------------------------------------------------

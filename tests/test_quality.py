@@ -23,7 +23,6 @@ from repro.obs import (
     WindowedCounter,
     cold_start_stratum,
     merge_summaries,
-    merge_windowed_snapshots,
     parse_prometheus,
     render_prometheus,
 )
@@ -131,25 +130,6 @@ class TestWindowedCounter:
         a.inc(1.5)
         b.inc_at(b._now_slot(), 1.5)
         assert a.snapshot()["cells"] == b.snapshot()["cells"]
-
-    def test_merge_aligns_by_absolute_slot(self):
-        clock = FakeClock(0.0)
-        kwargs = dict(window_seconds=60.0, slots=6, clock=clock)
-        a = WindowedCounter("w", **kwargs)
-        b = WindowedCounter("w", **kwargs)
-        a.inc(1.0)
-        clock.now = 30.0
-        b.inc(10.0)
-        merged = merge_windowed_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["value"] == 11.0
-        # cells stay keyed by absolute slot index, not per-process age
-        assert set(merged["cells"]) == {"0", "3"}
-
-    def test_merge_rejects_mismatched_windows(self):
-        a = WindowedCounter("w", window_seconds=60.0, slots=6)
-        b = WindowedCounter("w", window_seconds=30.0, slots=6)
-        with pytest.raises(ValueError):
-            merge_windowed_snapshots([a.snapshot(), b.snapshot()])
 
     def test_registry_get_or_create(self):
         registry = MetricsRegistry()
