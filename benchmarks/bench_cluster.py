@@ -75,7 +75,6 @@ def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compil
         num_shards=num_shards,
         snapshot_interval=500,
         server=ServerConfig(
-            workers=1,
             max_batch_size=BATCH_SIZE,
             # throughput profile: when shard processes oversubscribe the
             # cores, the serve tier's latency-oriented 2ms batch deadline

@@ -3,18 +3,18 @@
 Seeds the BENCH trajectory for the ``repro.serve.server`` runtime.
 A *closed-loop* load generator (each client thread keeps exactly one
 request outstanding: submit, wait, repeat) drives an in-process
-:class:`~repro.serve.InferenceServer` at several concurrency levels
-under two batching configurations:
+:class:`~repro.serve.InferenceServer` (one inference thread) at
+several concurrency levels under three batching configurations:
 
-* **serial** — ``workers=1, max_batch_size=1``: the per-request
-  baseline every client-facing latency number in the related systems
-  (MobTCast, SANST) is reported against; concurrency only queues.
+* **serial** — ``max_batch_size=1``: the per-request baseline every
+  client-facing latency number in the related systems (MobTCast,
+  SANST) is reported against; concurrency only queues.
 * **batched** — ``max_batch_size=16, max_wait_ms=4``: the dynamic
   micro-batching scheduler coalesces concurrent clients into one
   vectorised ``predict_batch`` pass (plans off — pure eager).
 * **compiled** — the batched scheduler serving captured inference
   plans in float32, the compiled serving configuration; the cell also
-  records the pool-wide plan-cache counters (plans/traces/hits/misses)
+  records the server's plan-cache counters (plans/traces/hits/misses)
   scraped from the same ``stats()`` surface ``/stats`` exposes.
 
 Per (config, concurrency) cell the run records sustained samples/sec
@@ -53,13 +53,12 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 CONFIGS = {
     "serial": ServerConfig(
-        workers=1, max_batch_size=1, max_wait_ms=0.0, max_queue=4096, compile=False
+        max_batch_size=1, max_wait_ms=0.0, max_queue=4096, compile=False
     ),
     "batched": ServerConfig(
-        workers=1, max_batch_size=16, max_wait_ms=4.0, max_queue=4096, compile=False
+        max_batch_size=16, max_wait_ms=4.0, max_queue=4096, compile=False
     ),
     "compiled": ServerConfig(
-        workers=1,
         max_batch_size=16,
         max_wait_ms=4.0,
         max_queue=4096,
@@ -245,7 +244,6 @@ def run_bench(profile=None, save_report=None):
         "dataset": "nyc",
         "configs": {
             name: {
-                "workers": config.workers,
                 "max_batch_size": config.max_batch_size,
                 "max_wait_ms": config.max_wait_ms,
                 "compile": config.compile,

@@ -1,8 +1,8 @@
 """HTTP serving smoke: start the server, hit it concurrently, verify.
 
 The CI ``serve-smoke`` job runs this standalone: it trains the quick
-NYC profile (scaled down), starts the full serving stack —
-:class:`~repro.serve.InferenceServer` worker pool behind the
+NYC profile (scaled down), starts the full serving stack — an
+:class:`~repro.serve.InferenceServer` behind the
 :class:`~repro.serve.HttpFrontend` on an ephemeral port — then issues
 a handful of concurrent ``/predict`` and ``/recommend`` requests plus
 ``/healthz`` and ``/stats`` reads, asserting every response is a 200
@@ -63,7 +63,7 @@ def main() -> None:
     samples = data.splits.test[:CONCURRENT_CLIENTS * REQUESTS_PER_CLIENT]
 
     config = ServerConfig(
-        workers=2, max_batch_size=8, max_wait_ms=4.0, trace_sample=1.0
+        max_batch_size=8, max_wait_ms=4.0, trace_sample=1.0
     )
     store = UserStateStore(StoreConfig())
     with InferenceServer(

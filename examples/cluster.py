@@ -57,7 +57,8 @@ def post(url, payload):
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
+    workdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
+    root = Path(workdir.name)
 
     # 0. A checkpoint is the unit of deployment: config + weights +
     #    dataset recipe.  Every shard loads it the way the
@@ -69,7 +70,7 @@ def main() -> None:
         TSPNRAConfig(dim=16, fusion_layers=1, hgat_layers=1, top_k=8),
         rng=spawn(7),
     )
-    checkpoint = save_checkpoint(model, workdir / "model.npz", dataset=dataset)
+    checkpoint = save_checkpoint(model, root / "model.npz", dataset=dataset)
     events = [
         {"user_id": e.user_id, "poi_id": e.poi_id, "timestamp": e.timestamp}
         for e in events_from_checkins(dataset.checkins)
@@ -87,60 +88,60 @@ def main() -> None:
                                  # itself; off here so the tour can drive
                                  # recovery by hand at stop 3
     )
-    router = ClusterRouter(checkpoint, workdir / "persist", config=config)
-    router.start()
-    print(f"2 shards up: pids {[s.pid for s in router.shards]}")
+    # Leaving the `with` stops the router (final snapshots) before
+    # the temporary directory holding its persist tree is removed.
+    with workdir, ClusterRouter(checkpoint, root / "persist", config=config) as router:
+        print(f"2 shards up: pids {[s.pid for s in router.shards]}")
 
-    # 2. Stream the first half through the consistent-hash router.
-    half = len(events) // 2
-    outcome = router.stream_events(events[:half], predict_every=25)
-    print(f"ingested {outcome['acks']} events, "
-          f"{outcome['predictions']} inline predictions")
-    user = events[0]["user_id"]
-    reply = router.predict_user(user, k=5)
-    print(f"user {user} top-5 -> {reply['result']['top_pois']}")
+        # 2. Stream the first half through the consistent-hash router.
+        half = len(events) // 2
+        outcome = router.stream_events(events[:half], predict_every=25)
+        print(f"ingested {outcome['acks']} events, "
+              f"{outcome['predictions']} inline predictions")
+        user = events[0]["user_id"]
+        reply = router.predict_user(user, k=5)
+        print(f"user {user} top-5 -> {reply['result']['top_pois']}")
 
-    # 3. Crash a shard for real.  Acknowledged events are on disk (WAL
-    #    + snapshots), so the restart folds back to the exact pre-crash
-    #    state — compare the version map before and after.
-    versions_before = router.user_versions()
-    victim = router.shards[1]
-    print(f"\nSIGKILL shard 1 (pid {victim.pid})...")
-    os.kill(victim.pid, signal.SIGKILL)
-    victim._process.join(5.0)
-    victim._mark_dead("killed by example")
-    started = time.perf_counter()
-    ready = router.restart_shard(1)
-    print(f"shard 1 back in {time.perf_counter() - started:.2f}s "
-          f"(recovery: {ready['recovery']})")
-    assert router.user_versions() == versions_before
-    print("every user's state_version identical after recovery")
+        # 3. Crash a shard for real.  Acknowledged events are on disk (WAL
+        #    + snapshots), so the restart folds back to the exact pre-crash
+        #    state — compare the version map before and after.
+        versions_before = router.user_versions()
+        victim = router.shards[1]
+        print(f"\nSIGKILL shard 1 (pid {victim.pid})...")
+        os.kill(victim.pid, signal.SIGKILL)
+        victim._process.join(5.0)
+        victim._mark_dead("killed by example")
+        started = time.perf_counter()
+        ready = router.restart_shard(1)
+        print(f"shard 1 back in {time.perf_counter() - started:.2f}s "
+              f"(recovery: {ready['recovery']})")
+        assert router.user_versions() == versions_before
+        print("every user's state_version identical after recovery")
 
-    # ...and the stream keeps going where it left off.
-    outcome = router.stream_events(events[half:], predict_every=25)
-    print(f"second half: {outcome['acks']} events, 0 lost")
+        # ...and the stream keeps going where it left off.
+        outcome = router.stream_events(events[half:], predict_every=25)
+        print(f"second half: {outcome['acks']} events, 0 lost")
 
-    # 4. The HTTP face of the same thing: the single-process tier's
-    #    front end, serving the router.  409 on out-of-order check-ins
-    #    survives the router hop; /stats aggregates the pool.
-    with HttpFrontend(router, port=0) as front:
-        print(f"\ncluster HTTP on {front.url}")
-        body = post(front.url + "/predict", {"user_id": user, "k": 3})
-        print(f"POST /predict -> top-3 {body['top_pois']}")
-        stats = json.loads(urllib.request.urlopen(front.url + "/stats").read())
-        totals = stats["cluster"]["totals"]
-        print(f"/stats cluster totals: users={totals['users']} "
-              f"events={totals['events']}")
-        for shard in stats["cluster"]["shards"]:
-            durability = shard["durability"]
-            print(f"  shard {shard['shard']}: {shard['users']} users, "
-                  f"log seq {durability['last_seq']}, "
-                  f"{durability['snapshots_taken']} snapshots, "
-                  f"restarts {shard['restarts']}")
-        health = json.loads(urllib.request.urlopen(front.url + "/healthz").read())
-        print(f"/healthz: {health['status']}")
+        # 4. The HTTP face of the same thing: the single-process tier's
+        #    front end, serving the router.  409 on out-of-order check-ins
+        #    survives the router hop; /stats aggregates the shards.
+        with HttpFrontend(router, port=0) as front:
+            print(f"\ncluster HTTP on {front.url}")
+            body = post(front.url + "/predict", {"user_id": user, "k": 3})
+            print(f"POST /predict -> top-3 {body['top_pois']}")
+            stats = json.loads(urllib.request.urlopen(front.url + "/stats").read())
+            totals = stats["cluster"]["totals"]
+            print(f"/stats cluster totals: users={totals['users']} "
+                  f"events={totals['events']}")
+            for shard in stats["cluster"]["shards"]:
+                durability = shard["durability"]
+                print(f"  shard {shard['shard']}: {shard['users']} users, "
+                      f"log seq {durability['last_seq']}, "
+                      f"{durability['snapshots_taken']} snapshots, "
+                      f"restarts {shard['restarts']}")
+            health = json.loads(urllib.request.urlopen(front.url + "/healthz").read())
+            print(f"/healthz: {health['status']}")
 
-    router.stop()
     print("\ncluster stopped (final snapshots written)")
 
 

@@ -20,9 +20,9 @@ buffers.  No Tensors, no graph, no allocation churn.  Five stops:
    re-traces; ``compile=False`` (CLI: ``repro serve --no-compile``)
    opts out entirely.
 
-The same plans serve every tier: ``InferenceServer`` workers share one
-plan cache (``GET /stats`` has a ``plans`` section) and cluster shard
-processes each carry their own.
+The same plans serve every tier: an ``InferenceServer`` serves through
+one plan cache (``GET /stats`` has a ``plans`` section) and cluster
+shard processes each carry their own.
 
 Runs in under a minute on a laptop CPU:
 

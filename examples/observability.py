@@ -5,10 +5,10 @@ plans, WAL durability, a shard ring — and ``repro.obs`` is how you see
 any of it working: every layer feeds one :class:`MetricsRegistry`
 (counters, gauges, fixed-bucket histograms) and a sampled request
 carries a trace through every hand-off — HTTP thread to scheduler
-queue to worker batch to the model's encode/rank stages.  Six stops:
+queue to inference batch to the model's encode/rank stages.  Six stops:
 
 1. instruments: observe latencies into a histogram, read exact
-   percentiles back (mergeable across workers — no latency lists);
+   percentiles back (O(buckets) memory — no latency lists);
 2. a traced request: serve over real HTTP with ``trace_sample=1.0``
    and print the span tree ``GET /debug/slow`` returns — queue wait,
    batch assembly, plan replay, two-step ranking, stage by stage;
@@ -87,8 +87,7 @@ def main() -> None:
     print(f"   1000 observations -> count={latency.count}, "
           f"p50 {p['p50'] * 1000:.2f} ms, p95 {p['p95'] * 1000:.2f} ms, "
           f"p99 {p['p99'] * 1000:.2f} ms")
-    print("   memory: O(buckets) forever; two workers' histograms merge "
-          "by adding counts")
+    print("   memory: O(buckets) forever, however many observations")
 
     # ------------------------------------------------------------------
     # 2. a traced request through the full serving stack
@@ -106,7 +105,7 @@ def main() -> None:
     )
     model.eval()
     config = ServerConfig(
-        workers=2, max_batch_size=8, max_wait_ms=2.0, trace_sample=1.0
+        max_batch_size=8, max_wait_ms=2.0, trace_sample=1.0
     )
     server = InferenceServer(model, config=config).start()
     front = HttpFrontend(server, port=0).start()
@@ -181,7 +180,7 @@ def main() -> None:
     print("=" * 68)
     server = InferenceServer(
         model,
-        config=ServerConfig(workers=1, max_batch_size=8, max_wait_ms=2.0,
+        config=ServerConfig(max_batch_size=8, max_wait_ms=2.0,
                             trace_sample=0.0),
     ).start()
     front = HttpFrontend(server, port=0).start()
@@ -211,7 +210,7 @@ def main() -> None:
     store = UserStateStore(StoreConfig())
     server = InferenceServer(
         model,
-        config=ServerConfig(workers=1, max_batch_size=8, max_wait_ms=2.0,
+        config=ServerConfig(max_batch_size=8, max_wait_ms=2.0,
                             quality_window=3600.0, quality_topk=10),
         dataset=dataset,
         state_store=store,

@@ -50,16 +50,19 @@ def main() -> None:
     Trainer(
         model, TrainConfig(epochs=3, batch_size=8, lr=5e-3, max_train_samples=200, seed=7)
     ).fit(splits.train)
-    workdir = Path(tempfile.mkdtemp(prefix="repro-serving-"))
-    checkpoint = save_checkpoint(model, workdir / "model.npz", dataset=dataset)
+    workdir = tempfile.TemporaryDirectory(prefix="repro-serving-")
+    checkpoint = save_checkpoint(
+        model, Path(workdir.name) / "model.npz", dataset=dataset
+    )
     print(f"checkpoint saved to {checkpoint}")
 
-    # 2. The async serving runtime: a worker pool of Predictor replicas
-    #    sharing the checkpoint's weights, fed by a dynamic micro-batch
+    # 2. The async serving runtime: one inference thread serving the
+    #    model through a Predictor, fed by a dynamic micro-batch
     #    scheduler (flush at 16 requests or 5 ms, whichever first), with
     #    a bounded admission queue.  `repro serve` wraps exactly this.
-    config = ServerConfig(workers=2, max_batch_size=16, max_wait_ms=5.0, max_queue=256)
-    with InferenceServer(model, config=config, dataset=dataset) as server:
+    #    Leaving the `with` also removes the checkpoint's directory.
+    config = ServerConfig(max_batch_size=16, max_wait_ms=5.0, max_queue=256)
+    with workdir, InferenceServer(model, config=config, dataset=dataset) as server:
         with HttpFrontend(server, port=0) as front:  # port=0: ephemeral
             print(f"serving on {front.url}")
 
@@ -121,12 +124,12 @@ def main() -> None:
                 f"request p99 {stats['requests']['p99_ms']:.2f} ms"
             )
 
-            # 8. Hot weight reload: POST /reload swaps the checkpoint's
-            #    weights into every worker (shared parameters), bumping
-            #    weights_version so cached embeddings refresh themselves.
+            # 8. Hot weight reload: POST /reload loads the checkpoint's
+            #    weights into the served model, bumping weights_version
+            #    so cached embeddings refresh themselves.
             print("reload:", post(front.url + "/reload", {"checkpoint": str(checkpoint)}))
     # leaving the `with` blocks drained in-flight requests and stopped
-    # the pool and the HTTP listener.
+    # the inference thread and the HTTP listener.
     print("server drained and stopped")
 
 

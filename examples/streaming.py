@@ -104,7 +104,7 @@ def main() -> None:
     #    history-less POST /predict {"user_id": ...}.  Stateful and
     #    stateless requests share the micro-batching scheduler.
     fresh_store = UserStateStore(StoreConfig(num_shards=8))
-    config = ServerConfig(workers=2, max_batch_size=16, max_wait_ms=5.0)
+    config = ServerConfig(max_batch_size=16, max_wait_ms=5.0)
     with InferenceServer(model, config=config, state_store=fresh_store) as server:
         with HttpFrontend(server, port=0) as front:
             print(f"\nstateful server on {front.url}")

@@ -16,8 +16,9 @@ Execution contract
   and pad); floating feeds are cast to the plan dtype when they differ
   (cast-free when the caller already prepared them in plan dtype).
 * Buffers are reused across runs, per thread: each thread lazily gets
-  its own buffer context, so a plan shared by a worker pool is safe to
-  run concurrently with zero locking on the hot path.  The returned
+  its own buffer context, so a plan shared by threads calling one
+  ``Predictor`` is safe to run concurrently with zero locking on the
+  hot path.  The returned
   arrays belong to the calling thread's buffers and are valid until
   that same thread runs the plan again — consume (slice/argsort/copy)
   before the next call.

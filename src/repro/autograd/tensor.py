@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,8 +42,8 @@ ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 class _GradMode(threading.local):
     """Per-thread grad-mode flag.
 
-    Grad mode must be thread-local: the serving worker pool runs
-    ``no_grad`` inference on several threads at once, and a process-wide
+    Grad mode must be thread-local: a ``Predictor`` may be called from
+    many threads, each running ``no_grad`` inference, and a process-wide
     flag would let one thread's ``no_grad`` exit re-enable (or keep
     disabled) graph construction underneath another thread mid-forward.
     Each thread starts with gradients enabled, like torch.

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..autograd import Tensor, cross_entropy, no_grad
 from ..data.trajectory import PredictionSample
-from ..geo import BoundingBox
 from ..nn import GRU, Linear
 from ..utils.rng import default_rng
 from ..serve.protocol import target_poi_of

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..data.trajectory import PredictionSample
-from ..nn import Linear, Module, Parameter
+from ..nn import Linear, Parameter
 from ..nn import init as nn_init
 from ..utils.rng import default_rng
 from .base import NextPOIBaseline, SequenceEmbedder

@@ -16,6 +16,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -71,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8151,
                               help="listen port (0 picks an ephemeral port)")
-    serve_parser.add_argument("--workers", type=int, default=2,
-                              help="worker threads (Predictor replicas)")
     serve_parser.add_argument("--max-batch-size", type=int, default=16,
                               dest="max_batch_size",
                               help="micro-batch flush size")
@@ -216,7 +215,6 @@ def _server_config(args):
     from .serve import ServerConfig
 
     return ServerConfig(
-        workers=args.workers,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
         max_queue=args.queue_size,
@@ -282,8 +280,13 @@ def _cmd_serve_cluster(args) -> int:
     try:
         front.serve_forever()
     except KeyboardInterrupt:
-        print("\nshutting down (final snapshots)...")
+        pass
     finally:
+        # a second Ctrl-C must not abort the shutdown that writes the
+        # final snapshots; router.stop() is bounded (it kills a shard
+        # that does not exit in time)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        print("\nshutting down (final snapshots)...")
         front.stop()
         router.stop()
     return 0
@@ -439,7 +442,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         stateful = args.stateful or bool(args.persist)
         server.start()
         front = HttpFrontend(server, host=args.host, port=args.port)
-        print(f"serving on {front.url}  (workers={server.config.workers}, "
+        print(f"serving on {front.url}  ("
               f"max_batch_size={server.config.max_batch_size}, "
               f"max_wait_ms={server.config.max_wait_ms}"
               + (f", stateful: {args.shards} shards" if stateful else "")
@@ -456,8 +459,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             front.serve_forever()
         except KeyboardInterrupt:
-            print("\nshutting down (draining in-flight requests)...")
+            pass
         finally:
+            # a second Ctrl-C must not abort the drain and the final
+            # snapshot (server.stop() waits at most its timeout)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            print("\nshutting down (draining in-flight requests)...")
             front.stop()
             server.stop(drain=True)
             if ingest is not None:

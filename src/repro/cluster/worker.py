@@ -4,7 +4,7 @@ A shard worker subprocess owns one consistent-hash shard of the user
 space: its own :class:`~repro.stream.state.UserStateStore`, its own
 event log + snapshots under ``<persist>/shard-NN/``, and a full
 :class:`~repro.serve.server.InferenceServer` (micro-batch scheduler and
-predictor pool) over a model built by
+one inference thread) over a model built by
 :func:`~repro.serve.checkpoint.load_checkpoint`, the single-process
 tier's loader, from the copy of the checkpoint the router pinned at
 construction.  A shard answers check-ins and predictions through that
@@ -36,7 +36,6 @@ import logging
 import multiprocessing as mp
 import signal
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -60,10 +59,9 @@ class ShardError(RuntimeError):
     """A shard failed to start, died, or stopped answering."""
 
 
-# A shard's defaults: one worker thread per process (the cluster scales
-# by processes), a 2 ms batching window, a 30 s request timeout, and 4
-# store lock stripes.  Both configs are frozen, so sharing is safe.
-SHARD_SERVER = ServerConfig(workers=1, max_wait_ms=2.0, request_timeout_s=30.0)
+# A shard's defaults: a 2 ms batching window, a 30 s request timeout,
+# and 4 store lock stripes.  Both configs are frozen, so sharing is safe.
+SHARD_SERVER = ServerConfig(max_wait_ms=2.0, request_timeout_s=30.0)
 SHARD_STORE = StoreConfig(num_shards=4)
 
 

@@ -12,7 +12,7 @@ graph.  Two implementations exist:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..data.trajectory import Trajectory, concat_history
 from ..graphs import HeteroGraph, QRPGraph, QRPGraphMaintainer, build_qrp_graph
@@ -47,10 +47,10 @@ class QuadTreeTileSystem:
     def graph_maintainer(self) -> QRPGraphMaintainer:
         """The shared incremental QR-P maintainer for this tile system.
 
-        Memoised so every worker replica (which shares the tile-system
-        object zero-copy) attaches the *same* maintainer to the user
-        store — the store accepts one maintainer and keeps pushing
-        fresh graph entries to every compatible worker cache.
+        Memoised so every predictor over this tile system attaches the
+        *same* maintainer to the user store — the store accepts one
+        maintainer and keeps pushing fresh graph entries to every
+        compatible cache.
         ``GridTileSystem`` deliberately has no counterpart: its grid
         graphs fall back to full rebuilds on the cache-miss path.
         """

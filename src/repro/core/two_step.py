@@ -13,7 +13,7 @@ at a time (:func:`select_tiles`).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -20,7 +20,7 @@ proportionally for users who want bigger runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np

@@ -21,7 +21,7 @@ paper's model family feeds on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree

@@ -8,7 +8,7 @@ the reproduction target is the *relative* ordering across models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Callable
 
 from ..utils.timer import Stopwatch
 

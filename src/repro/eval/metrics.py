@@ -7,7 +7,7 @@ reduces to ``1 / log2(rank + 1)`` when the item is ranked within K.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 

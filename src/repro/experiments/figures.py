@@ -6,24 +6,20 @@ series to regenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import TSPNRA, spatial_encoding
+from ..core import spatial_encoding
 from ..core.two_step import candidate_pois, rank_of_target
 from ..data.trajectory import PredictionSample
-from ..eval import evaluate
 from ..eval.metrics import recall_at_k
 from .harness import (
     PreparedData,
-    build_model,
-    eval_model,
     make_predictor,
     prepare,
     run_one,
-    train_model,
     tspnra_config,
 )
 from .profile import ExperimentProfile

@@ -7,7 +7,7 @@ measured comparison is a side-by-side read.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 METRIC_COLUMNS = (
     "Recall@5",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .harness import (
     tspnra_config,
 )
 from .profile import ExperimentProfile
-from .reporting import METRIC_COLUMNS, relative_drop
+from .reporting import relative_drop
 
 URBAN_DATASETS = ("tky", "nyc")
 STATE_DATASETS = ("california", "florida")

@@ -9,7 +9,7 @@ Storage is adjacency-list per edge type, which is what the HGAT layer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 NODE_TYPES = ("tile", "poi")
 EDGE_TYPES = ("branch", "road", "contain")

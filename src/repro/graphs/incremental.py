@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -164,7 +164,7 @@ class QRPGraphMaintainer:
 
     One shared instance per tile system (see
     ``QuadTreeTileSystem.graph_maintainer``): the quad-tree and road
-    adjacency are read-only, so every serving worker and every user
+    adjacency are read-only, so every predictor and every user
     state can lean on the same precomputed ``road`` pair index and
     POI->leaf memo.  Mutable per-user state lives in
     :class:`QRPGraphState`, guarded by the store's shard locks.

@@ -14,7 +14,7 @@ historical trajectory S, the four construction steps are:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..data.trajectory import Trajectory, Visit, concat_history
 from ..spatial import RegionQuadTree

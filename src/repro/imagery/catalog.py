@@ -7,7 +7,7 @@ Supports the 20%-noise corruption used in the Fig. 12(b) ablation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 

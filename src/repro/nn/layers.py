@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..autograd import (
@@ -110,8 +108,7 @@ class Dropout(Module):
     so inference never depends on the caller's mode and never draws
     from the generator.  Grad mode is thread-local, so one thread's
     inference cannot switch dropout off for another thread's training
-    step, and serving replicas can share sub-modules without toggling
-    their flags.
+    step.
     """
 
     def __init__(self, rate: float = 0.1, rng=None):

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, concat, stack, zeros
+from ..autograd import Tensor, stack, zeros
 from ..utils.rng import default_rng
 from . import init
 from .module import Module, Parameter

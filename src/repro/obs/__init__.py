@@ -3,7 +3,7 @@
 Five layers, importable with no dependency on the rest of :mod:`repro`
 (so :mod:`repro.core.model` can open spans without an import cycle):
 
-* :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket mergeable
+* :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket
   histograms, and sliding-window counters in a :class:`MetricsRegistry`;
 * :mod:`repro.obs.tracing` — trace/span request timelines with
   thread-local, future-hand-off, and cross-process (carrier dict)
@@ -24,8 +24,6 @@ from .metrics import (
     MetricsRegistry,
     WindowedCounter,
     get_registry,
-    merge_histogram_snapshots,
-    snapshot_percentile,
 )
 from .tracing import (
     SlowRing,
@@ -49,8 +47,6 @@ __all__ = [
     "WindowedCounter",
     "MetricsRegistry",
     "get_registry",
-    "merge_histogram_snapshots",
-    "snapshot_percentile",
     "SlowRing",
     "Span",
     "Trace",

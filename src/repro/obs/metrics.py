@@ -12,11 +12,8 @@ all zero-dependency and JSON-serialisable:
   hot path never maintains it.
 * :class:`Histogram` — fixed upper-bound buckets with cumulative
   counts, a running sum, count, and observed min/max.  O(buckets)
-  memory under any load, and **mergeable**: histograms from N workers
-  (or N shard processes, shipped as snapshots over a pipe) sum
-  bucket-wise into one distribution whose percentiles are exact to
-  bucket resolution — the property the old unbounded-list percentiles
-  could never have.
+  memory under any load, with percentiles exact to bucket resolution
+  — the old unbounded latency lists grew with every request.
 
 :class:`MetricsRegistry` is the instrument directory: get-or-create by
 ``(name, labels)``, snapshot to JSON-safe dicts (pipe/HTTP shippable),
@@ -42,8 +39,6 @@ __all__ = [
     "MetricsRegistry",
     "LATENCY_BUCKETS",
     "get_registry",
-    "merge_histogram_snapshots",
-    "snapshot_percentile",
 ]
 
 # Latency buckets in seconds: roughly geometric from 100 micros to 30s,
@@ -147,7 +142,7 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Fixed-bucket histogram: O(buckets) memory, mergeable, percentiles.
+    """Fixed-bucket histogram: O(buckets) memory, percentiles.
 
     ``buckets`` are ascending upper bounds (``le`` semantics, matching
     Prometheus); an implicit ``+Inf`` bucket catches the tail.  The
@@ -231,20 +226,6 @@ class Histogram(_Instrument):
                 "min": self._min if self._count else 0.0,
                 "max": self._max if self._count else 0.0,
             }
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram (same bounds)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        theirs = other.snapshot()
-        with self._lock:
-            for i, c in enumerate(theirs["counts"]):
-                self._counts[i] += c
-            self._sum += theirs["sum"]
-            self._count += theirs["count"]
-            if theirs["count"]:
-                self._min = min(self._min, theirs["min"])
-                self._max = max(self._max, theirs["max"])
 
 
 class WindowedCounter(_Instrument):
@@ -340,9 +321,9 @@ class WindowedCounter(_Instrument):
 def _bucket_percentile(bounds, counts, total, lo_seen, hi_seen, p) -> float:
     """Linear interpolation of the p-th percentile within its bucket.
 
-    The caller holds the histogram lock (or owns a snapshot).  The
-    interpolation span is clamped to the observed min/max so degenerate
-    distributions (all values equal) report the exact value.
+    The caller holds the histogram lock.  The interpolation span is
+    clamped to the observed min/max so degenerate distributions (all
+    values equal) report the exact value.
     """
     if total <= 0:
         return 0.0
@@ -364,56 +345,14 @@ def _bucket_percentile(bounds, counts, total, lo_seen, hi_seen, p) -> float:
     return hi_seen if hi_seen != float("-inf") else 0.0
 
 
-def merge_histogram_snapshots(snapshots: Sequence[Dict]) -> Dict:
-    """Sum histogram snapshot dicts (same bounds) into one distribution."""
-    if not snapshots:
-        raise ValueError("nothing to merge")
-    base = snapshots[0]
-    counts = list(base["counts"])
-    total_sum, total_count = base["sum"], base["count"]
-    lo = base["min"] if base["count"] else float("inf")
-    hi = base["max"] if base["count"] else float("-inf")
-    for snap in snapshots[1:]:
-        if list(snap["buckets"]) != list(base["buckets"]):
-            raise ValueError("cannot merge histograms with different buckets")
-        for i, c in enumerate(snap["counts"]):
-            counts[i] += c
-        total_sum += snap["sum"]
-        total_count += snap["count"]
-        if snap["count"]:
-            lo = min(lo, snap["min"])
-            hi = max(hi, snap["max"])
-    return {
-        **base,
-        "counts": counts,
-        "sum": total_sum,
-        "count": total_count,
-        "min": lo if total_count else 0.0,
-        "max": hi if total_count else 0.0,
-    }
-
-
-def snapshot_percentile(snapshot: Dict, p: float) -> float:
-    """Percentile straight from a histogram snapshot dict."""
-    return _bucket_percentile(
-        tuple(snapshot["buckets"]),
-        snapshot["counts"],
-        snapshot["count"],
-        snapshot["min"] if snapshot["count"] else float("inf"),
-        snapshot["max"] if snapshot["count"] else float("-inf"),
-        p,
-    )
-
-
 class MetricsRegistry:
     """Directory of instruments, keyed ``(name, labels)``.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: two
-    components asking for the same name+labels share one instrument
-    (that is how N schedulers behind one server would share a roll-up;
-    per-worker instruments differ by a ``worker`` label).  ``adopt``
-    folds another registry's instruments in — components built before
-    the server existed (a ``DurableIngest`` recovered from disk) start
+    components asking for the same name+labels share one instrument,
+    and instruments of one name differ by their labels (the plan
+    cache's ``dtype``).  ``adopt`` folds another registry's instruments
+    in — components built before the server existed (a ``DurableIngest`` recovered from disk) start
     on a private registry and are adopted at wiring time, keeping their
     counters' identity.
     """

@@ -142,7 +142,7 @@ class _Pending:
 class QualityMonitor:
     """Prequential Recall@K/MRR/NDCG over a sliding window, by stratum.
 
-    Thread-safe: server workers ``record`` concurrently while the
+    Thread-safe: the inference thread calls ``record`` while the
     ingest thread joins.  All estimator state lives in registry
     instruments; the monitor itself only owns the pending ring.
     """

@@ -10,8 +10,8 @@ serving stack:
   (:func:`activate` / :func:`current_trace`), so code below it
   (validation, submit) finds it without plumbing;
 * **object capture** — the scheduler's future hand-off crosses threads,
-  so the trace rides the ``ServeRequest`` explicitly and the worker
-  re-activates it per request;
+  so the trace rides the ``ServeRequest`` explicitly and the inference
+  thread re-activates it per request;
 * **carrier dict** — the cluster pipes cross *processes*, so the router
   injects ``trace.carrier()`` into the payload, the shard builds a
   child trace from it, and ships its finished spans back in the reply
@@ -38,7 +38,7 @@ import os
 import random
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "Span",
@@ -107,7 +107,7 @@ class Trace:
         self.wall_started_at = time.time()
         self._lock = threading.Lock()
         # Per-thread open-span stacks: parented spans nest correctly even
-        # when several worker threads contribute to one trace.
+        # when several threads contribute to one trace.
         self._stack: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------

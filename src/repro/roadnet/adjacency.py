@@ -15,7 +15,6 @@ from typing import Optional, Set, Tuple
 import numpy as np
 
 from ..geo import euclidean
-from ..spatial import RegionQuadTree
 from .network import RoadNetwork
 
 

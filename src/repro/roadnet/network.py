@@ -10,10 +10,9 @@ introduction motivates).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..geo import BoundingBox, euclidean
 

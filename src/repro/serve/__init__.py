@@ -21,9 +21,8 @@ Entry points
 * :class:`InferenceServer` / :class:`ServerConfig` — the async
   serving runtime: individual requests from many concurrent clients
   coalesce through a :class:`MicroBatchScheduler` (flush on
-  ``max_batch_size`` or ``max_wait_ms``), execute on a worker-thread
-  pool of Predictor replicas sharing one checkpoint's weights, with
-  bounded-queue admission control (:class:`QueueFullError`), graceful
+  ``max_batch_size`` or ``max_wait_ms``) and run on one inference
+  thread through one Predictor, with bounded-queue admission control (:class:`QueueFullError`), graceful
   draining shutdown, and hot weight reload;
 * :class:`HttpFrontend` — the stdlib HTTP/JSON front door
   (``/predict``, ``/recommend``, ``/checkin``, ``/reload``,
@@ -37,8 +36,8 @@ Entry points
   batched vs compiled serving microbench (the batched leg reports
   latency percentiles);
 * :class:`PlanCache` — compiled inference plans (trace-once, graph-free
-  replay) keyed ``(weights_version, dtype, shape bucket)``, shared
-  pool-wide; ``Predictor(compile=False)`` / ``ServerConfig(compile=
+  replay) keyed ``(weights_version, dtype, shape bucket)``, one per
+  server; ``Predictor(compile=False)`` / ``ServerConfig(compile=
   False)`` are the eager escape hatches.
 """
 

@@ -2,13 +2,12 @@
 
 The serving glue for :mod:`repro.autograd.trace`: a thread-safe,
 LRU-bounded cache of :class:`~repro.core.model.EncodePlan` entries
-keyed ``(weights_version, dtype, shape_bucket)``.  One cache is shared
-by every worker of an :class:`~repro.serve.server.InferenceServer` —
-replicas share parameter objects, so a plan traced by one worker is
-valid (and bit-identical) for all of them.  An entry is what the
-model's ``predict_batch`` takes as ``plan=``: it replays the plan in
-place of the eager encode, over the same feed prep and into the same
-ranking tail.
+keyed ``(weights_version, dtype, shape_bucket)``.  An
+:class:`~repro.serve.server.InferenceServer` builds one from its
+config and hands it to its :class:`~repro.serve.predictor.Predictor`.
+An entry is what the model's ``predict_batch`` takes as ``plan=``: it
+replays the plan in place of the eager encode, over the same feed prep
+and into the same ranking tail.
 
 Fallback ladder, never an error:
 
@@ -118,10 +117,10 @@ class PlanCache:
     def _tag_trace(outcome: str) -> None:
         """Stamp the plan outcome onto the active trace's open span.
 
-        During a traced request the worker's inference span is open
-        when the lookup runs, so ``plan=hit|miss|trace|fallback`` lands
-        exactly where a reader of ``/debug/slow`` looks to explain an
-        encode that took a retrace."""
+        During a traced request the server's ``infer.batch`` span is
+        open when the lookup runs, so ``plan=hit|miss|trace|fallback``
+        lands exactly where a reader of ``/debug/slow`` looks to explain
+        an encode that took a retrace."""
         trace = current_trace()
         if trace is not None:
             trace.tag_current(plan=outcome)
@@ -140,8 +139,8 @@ class PlanCache:
         """The cached (or freshly traced) plan for this batch's bucket.
 
         Returns ``None`` when the batch must be served eagerly.  Tracing
-        happens outside the lock — a worker building a plan never stalls
-        the others; if two workers race the same cold bucket, both trace
+        happens outside the lock — a thread building a plan never stalls
+        the others; if two threads race the same cold bucket, both trace
         and the second insert wins (identical plans, wasted work once).
 
         ``version`` is the ``weights_version`` the embedding tables were
@@ -204,12 +203,6 @@ class PlanCache:
         self._entries.move_to_end(key)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-
-    def invalidate(self) -> None:
-        """Drop every cached plan (next batches re-trace)."""
-        with self._lock:
-            self._entries.clear()
-            self._version = None
 
     def __len__(self) -> int:
         with self._lock:

@@ -21,8 +21,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..autograd import no_grad
 from ..data.trajectory import PredictionSample, Trajectory, Visit
 from ..obs import MetricsRegistry
@@ -59,45 +57,43 @@ def interpolated_percentile(sorted_values: Sequence[float], p: float) -> float:
 class ServeStats:
     """Rolling counters for one predictor instance, registry-backed.
 
-    Thread-safe: the serving worker pool records batches from several
-    threads into one roll-up, and `/stats` reads concurrently.  Every
-    quantity lives in a :class:`~repro.obs.MetricsRegistry` instrument
-    — the counters are registry counters and the per-batch latency
-    distribution is a fixed-bucket :class:`~repro.obs.Histogram`
-    (O(buckets) memory under sustained load, unlike the unbounded list
-    it replaced, and mergeable across workers/shards).  The historical
-    attribute surface (``stats.requests`` …) is preserved as read-only
-    properties over the instruments.
+    Thread-safe: a :class:`Predictor` may be called from many threads,
+    and `/stats` reads concurrently.  Every quantity lives in a
+    :class:`~repro.obs.MetricsRegistry` instrument — the counters are
+    registry counters and the per-batch latency distribution is a
+    fixed-bucket :class:`~repro.obs.Histogram` (O(buckets) memory under
+    sustained load, unlike the unbounded list it replaced).  The
+    historical attribute surface (``stats.requests`` …) is preserved as
+    read-only properties over the instruments.
 
-    ``namespace`` and ``labels`` keep instruments distinct when several
-    ServeStats share one registry (per-worker ``labels={"worker": i}``,
-    or the server's request-level roll-up under ``serve_request``).
+    ``namespace`` keeps instruments distinct when several ServeStats
+    share one registry (the server's request-level roll-up lives under
+    ``serve_request``).
     """
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         namespace: str = "serve",
-        labels: Optional[Dict[str, str]] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = self.registry.counter(
-            f"{namespace}_requests", "Requests served", labels
+            f"{namespace}_requests", "Requests served"
         )
         self._batches = self.registry.counter(
-            f"{namespace}_batches", "Inference batches executed", labels
+            f"{namespace}_batches", "Inference batches executed"
         )
         self._seconds = self.registry.counter(
-            f"{namespace}_seconds", "Cumulative batch inference seconds", labels
+            f"{namespace}_seconds", "Cumulative batch inference seconds"
         )
         self._embedding_refreshes = self.registry.counter(
-            f"{namespace}_embedding_refreshes", "Shared-embedding recomputes", labels
+            f"{namespace}_embedding_refreshes", "Shared-embedding recomputes"
         )
         self._embedding_cache_hits = self.registry.counter(
-            f"{namespace}_embedding_cache_hits", "Shared-embedding cache hits", labels
+            f"{namespace}_embedding_cache_hits", "Shared-embedding cache hits"
         )
         self.latency = self.registry.histogram(
-            f"{namespace}_batch_latency_seconds", "Per-batch latency", labels
+            f"{namespace}_batch_latency_seconds", "Per-batch latency"
         )
 
     # -- historical attribute surface ----------------------------------
@@ -187,8 +183,10 @@ class Predictor:
     :mod:`repro.serve.plans`): the first batch of each shape bucket is
     traced, later ones replay graph-free.  ``plan_dtype`` picks the
     replay precision (``float64`` is bit-identical to eager);
-    ``plan_cache`` lets a worker pool share one cache across replicas.
-    ``compile=False`` is the escape hatch — pure eager, no tracing.
+    ``plan_cache`` hands in a cache built elsewhere (an
+    :class:`~repro.serve.server.InferenceServer` builds one from its
+    config, on its registry).  ``compile=False`` is the escape hatch —
+    pure eager, no tracing.
     """
 
     def __init__(
@@ -199,14 +197,13 @@ class Predictor:
         plan_dtype="float64",
         plan_cache: Optional[PlanCache] = None,
         registry: Optional[MetricsRegistry] = None,
-        stats_labels: Optional[Dict[str, str]] = None,
     ):
         self.model = model
         self.dataset = None  # set by from_checkpoint
         # an attached QualityMonitor sees every served batch; None (the
         # default) costs one attribute check per batch
         self.quality = None
-        self.stats = ServeStats(registry=registry, labels=stats_labels)
+        self.stats = ServeStats(registry=registry)
         self._shared: Optional[Tuple[Any, ...]] = None
         self._shared_version: Optional[int] = None
         self._shared_lock = threading.Lock()
@@ -272,12 +269,6 @@ class Predictor:
             else:
                 self.stats.note_embedding_cache_hit()
             return version, self._shared
-
-    def invalidate(self) -> None:
-        """Drop cached shared state (forced refresh on the next request)."""
-        with self._shared_lock:
-            self._shared = None
-            self._shared_version = None
 
     # ------------------------------------------------------------------
     # inference

@@ -4,7 +4,7 @@ The serving story of the batched encode (PR 2/3): ``predict_batch`` is
 ~4x faster per sample than the per-sample loop, but only if someone
 *forms* batches.  Online traffic arrives as individual requests from
 many clients; the :class:`MicroBatchScheduler` queues them and lets the
-worker pool pull *micro-batches* — a batch is flushed when it reaches
+server's inference thread pull *micro-batches* — a batch is flushed when it reaches
 ``max_batch_size`` or when ``max_wait_ms`` has elapsed since its oldest
 request entered the queue, whichever comes first.  That bounds the
 batching delay any single request can pay (tail latency) while keeping
@@ -15,7 +15,7 @@ waiting, further :meth:`~MicroBatchScheduler.submit` calls raise
 :class:`QueueFullError` immediately instead of growing the backlog
 without bound — the HTTP front-end maps this to a 429.  Graceful
 shutdown (:meth:`~MicroBatchScheduler.close` with ``drain=True``)
-stops admissions but lets the workers finish everything already
+stops admissions but lets the consumer finish everything already
 queued; with ``drain=False`` the backlog is failed fast.
 """
 
@@ -48,7 +48,7 @@ class ServeRequest:
     the exception its batch raised); ``enqueued_at`` anchors both the
     flush deadline of the batch it joins and the end-to-end request
     latency the server reports.  ``trace`` carries the submitting
-    thread's active trace across the future hand-off — the worker
+    thread's active trace across the future hand-off — the inference
     thread that executes the batch records queue-wait and inference
     spans into it (:func:`~repro.obs.current_trace` is thread-local
     and does not survive the queue on its own).
@@ -63,8 +63,8 @@ class ServeRequest:
 class MicroBatchScheduler:
     """Bounded request queue with size-or-deadline batch formation.
 
-    Producers call :meth:`submit`; consumers (the worker pool) call
-    :meth:`next_batch`, which blocks until it can hand back a non-empty
+    Producers call :meth:`submit`; the consumer (the server's inference
+    thread) calls :meth:`next_batch`, which blocks until it can hand back a non-empty
     batch, and returns ``None`` only when the scheduler is closed and
     drained (or an explicit ``timeout`` expires while idle).
     """
@@ -100,7 +100,7 @@ class MicroBatchScheduler:
             "scheduler_rejected", "Requests rejected by backpressure"
         )
         self._dispatched = self.registry.counter(
-            "scheduler_dispatched", "Requests handed to workers in batches"
+            "scheduler_dispatched", "Requests handed out in batches"
         )
         self._batches = self.registry.counter(
             "scheduler_batches", "Micro-batches formed"
@@ -181,7 +181,7 @@ class MicroBatchScheduler:
         passed since that oldest request was enqueued — so the deadline
         covers time spent *waiting in the queue*, not just time spent
         in this call, and a request's batching delay is bounded even
-        when every worker was busy when it arrived.
+        when the inference thread was busy when it arrived.
 
         Returns ``None`` when the scheduler is closed and the queue is
         drained, or when ``timeout`` (seconds) expires with nothing
@@ -238,8 +238,8 @@ class MicroBatchScheduler:
         """Stop admitting requests.
 
         ``drain=True`` (graceful): everything already queued will still
-        be served; workers see ``None`` from :meth:`next_batch` once
-        the queue empties.  ``drain=False``: the backlog is cleared and
+        be served; the consumer sees ``None`` from :meth:`next_batch`
+        once the queue empties.  ``drain=False``: the backlog is cleared and
         every pending future fails with :class:`SchedulerClosedError`.
         """
         with self._not_empty:

@@ -1,19 +1,17 @@
-"""The async serving runtime: worker pool + micro-batching + HTTP.
+"""The async serving runtime: micro-batching + one inference thread + HTTP.
 
 This module turns the offline batched inference path into an online
 service.  Three layers, composable and individually testable:
 
 * :class:`InferenceServer` — the runtime.  Owns a
-  :class:`~repro.serve.scheduler.MicroBatchScheduler` and a pool of
-  worker threads, each serving through its own
-  :class:`~repro.serve.predictor.Predictor` replica.  Replicas are
-  shallow copies of one checkpoint's model: **parameters (and every
-  other read-only table) are shared zero-copy**, while the mutable
-  per-request state — the per-user QR-P graph cache — is per-worker,
-  so workers never contend on cache eviction.  Because parameters are
-  shared objects, :meth:`InferenceServer.reload_weights` on the
-  primary propagates to every worker at once, and each worker's
-  embedding cache refreshes itself via the existing
+  :class:`~repro.serve.scheduler.MicroBatchScheduler` and one inference
+  thread, which serves every micro-batch through one
+  :class:`~repro.serve.predictor.Predictor` over the caller's model.
+  A batch is one small encode plus the two-step ranking, Python-bound
+  work that holds the GIL, so a second inference thread adds
+  contention, not throughput; the cluster scales by processes instead.
+  :meth:`InferenceServer.reload_weights` loads into that model, and
+  the Predictor's embedding cache refreshes itself via the
   ``weights_version`` token.
 * the JSON request surface — :meth:`InferenceServer.checkin_json`,
   :meth:`~InferenceServer.predict_json`,
@@ -33,13 +31,13 @@ service.  Three layers, composable and individually testable:
   connection thread blocks on its request future while the scheduler
   coalesces concurrent requests into micro-batches.
 
-:class:`ServerConfig` holds the batching/pool/backpressure knobs of
+:class:`ServerConfig` holds the batching/backpressure knobs of
 both tiers (a cluster ships one to every shard).
 
 Stateful serving (``state_store=``): the server owns per-user check-in
 state (:mod:`repro.stream`).  ``POST /checkin`` appends one arrival —
 rolling sessions at the Δt gap rule and retiring the user's stale QR-P
-graph entry from every worker's cache — and a history-less
+graph entry from the server's graph cache — and a history-less
 ``POST /predict {"user_id": ...}`` resolves the stored history into an
 immutable snapshot sample *before* batching, so stateful and stateless
 requests ride the same micro-batching scheduler side by side.
@@ -52,16 +50,15 @@ equivalence tests check it), so *any* batching of requests yields
 identical per-request rankings.
 
 Failure containment: a batch that raises fails only its own requests
-(their futures carry the exception); the worker survives and keeps
-serving.  The request surface therefore validates payloads *before*
-admission (:func:`~repro.serve.protocol.sample_from_json` bounds POI
-ids) so a malformed request gets its own 400 instead of poisoning a
-batch.
+(their futures carry the exception); the inference thread survives and
+keeps serving.  The request surface therefore validates payloads
+*before* admission (:func:`~repro.serve.protocol.sample_from_json`
+bounds POI ids) so a malformed request gets its own 400 instead of
+poisoning a batch.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import threading
 import time
@@ -80,9 +77,7 @@ from ..obs import (
     Trace,
     activate,
     maybe_trace,
-    merge_histogram_snapshots,
     render_prometheus,
-    snapshot_percentile,
     span,
 )
 from ..stream.events import CheckinEvent, event_from_json
@@ -99,21 +94,20 @@ from .scheduler import MicroBatchScheduler, QueueFullError, SchedulerClosedError
 class ServerConfig:
     """Knobs of the serving runtime.
 
-    ``workers`` threads each run one Predictor replica; requests
-    coalesce into batches of up to ``max_batch_size``, flushed at
-    latest ``max_wait_ms`` after the oldest member entered the queue.
-    ``max_queue`` bounds the admission queue (excess load is rejected,
-    not buffered), ``graph_cache_size`` bounds each worker's per-user
-    QR-P graph LRU, and ``request_timeout_s`` caps how long a blocking
-    ``predict``/HTTP call waits for its future.
+    Requests coalesce into batches of up to ``max_batch_size``, flushed
+    at latest ``max_wait_ms`` after the oldest member entered the
+    queue, and one inference thread serves them.  ``max_queue`` bounds
+    the admission queue (excess load is rejected, not buffered),
+    ``graph_cache_size`` bounds the per-user QR-P graph LRU, and
+    ``request_timeout_s`` caps how long a blocking ``predict``/HTTP
+    call waits for its future.
 
     ``compile`` turns captured inference plans on (the default; see
-    :mod:`repro.serve.plans`) — one pool-wide :class:`PlanCache` is
-    shared by every worker, valid because replicas share parameter
-    objects.  ``plan_dtype`` picks the replay precision (``float64``
-    keeps ranked lists bit-identical to eager) and ``plan_cache_size``
-    bounds the number of live plans.  ``compile=False`` (CLI:
-    ``repro serve --no-compile``) is the pure-eager escape hatch.
+    :mod:`repro.serve.plans`).  ``plan_dtype`` picks the replay
+    precision (``float64`` keeps ranked lists bit-identical to eager)
+    and ``plan_cache_size`` bounds the number of live plans.
+    ``compile=False`` (CLI: ``repro serve --no-compile``) is the
+    pure-eager escape hatch.
 
     ``trace_sample`` is the request-tracing sampling rate (0..1).  The
     default 0 keeps the hot path allocation-free — no Trace or Span
@@ -127,7 +121,6 @@ class ServerConfig:
     depth each served prediction stores while awaiting its label.
     """
 
-    workers: int = 2
     max_batch_size: int = 16
     max_wait_ms: float = 5.0
     max_queue: int = 256
@@ -142,8 +135,6 @@ class ServerConfig:
     quality_topk: int = 20
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ValueError("trace_sample must be within [0, 1]")
         if self.slow_ring_size < 1:
@@ -152,68 +143,6 @@ class ServerConfig:
             raise ValueError("quality_window must be >= 0 (0 disables)")
         if self.quality_topk < 1:
             raise ValueError("quality_topk must be >= 1")
-
-
-class _PooledPredictor(Predictor):
-    """A worker Predictor whose embedding cache is pool-wide.
-
-    The shared embedding tables are a pure function of the (shared)
-    parameters, so N replicas recomputing and retaining N identical
-    copies per ``weights_version`` would waste both the compute (once
-    per worker at startup and after every reload) and the residency.
-    One version-keyed store, guarded by one lock, serves the pool.
-    The plan cache is likewise pool-wide (passed in by the server): a
-    plan traced by one worker replays on all of them, each on its own
-    per-thread buffers.
-    """
-
-    def __init__(
-        self, model, graph_cache_size, store, plan_cache=None,
-        registry=None, stats_labels=None,
-    ):
-        super().__init__(
-            model,
-            graph_cache_size=graph_cache_size,
-            compile=plan_cache is not None,
-            plan_cache=plan_cache,
-            registry=registry,
-            stats_labels=stats_labels,
-        )
-        self._store = store
-
-    def shared_state_versioned(self):
-        store = self._store
-        with store["lock"]:
-            version = self.model.weights_version()
-            if store["version"] != version:
-                store["state"] = self.model.compute_embeddings()
-                store["version"] = version
-                self.stats.note_embedding_refresh()
-            else:
-                self.stats.note_embedding_cache_hit()
-            return version, store["state"]
-
-    def invalidate(self):
-        with self._store["lock"]:
-            self._store["version"] = None
-            self._store["state"] = None
-
-
-def _replicate_model(model):
-    """A worker-private view of ``model`` sharing its weights zero-copy.
-
-    A shallow copy shares every attribute object — parameters,
-    embedding tables, the tile system, imagery columns — which is
-    exactly right: they are read-only during inference, and sharing
-    the :class:`~repro.nn.module.Parameter` objects themselves means a
-    ``load_state_dict`` on any replica (hot reload goes through the
-    primary) is visible to all of them, version bump included.  The
-    one piece of genuinely mutable per-request state, the QR-P graph
-    cache, is swapped per-replica by the :class:`Predictor` facade
-    (``set_graph_cache`` migrates warm entries without touching the
-    source cache).
-    """
-    return copy.copy(model)
 
 
 class InferenceServer:
@@ -235,10 +164,10 @@ class InferenceServer:
     ):
         self.config = config or ServerConfig()
         self.dataset = dataset
-        self._primary = model
+        self.model = model
         model.eval()
         # One registry for the whole runtime: the scheduler, plan cache,
-        # worker stats, and stream pipeline all register their
+        # predictor stats, and stream pipeline all register their
         # instruments here, so /stats and /metrics are two renderings
         # of the same instruments rather than parallel bookkeeping.
         self.registry = MetricsRegistry()
@@ -249,7 +178,6 @@ class InferenceServer:
             max_queue=self.config.max_queue,
             registry=self.registry,
         )
-        embedding_store = {"lock": threading.Lock(), "version": None, "state": None}
         self.plan_cache: Optional[PlanCache] = None
         if self.config.compile and supports_plans(model):
             self.plan_cache = PlanCache(
@@ -257,46 +185,42 @@ class InferenceServer:
                 dtype=self.config.plan_dtype,
                 registry=self.registry,
             )
-        self.predictors: List[Predictor] = [
-            _PooledPredictor(
-                _replicate_model(model),
-                graph_cache_size=self.config.graph_cache_size,
-                store=embedding_store,
-                plan_cache=self.plan_cache,
-                registry=self.registry,
-                stats_labels={"worker": str(index)},
-            )
-            for index in range(self.config.workers)
-        ]
+        # Adopts the model: its QR-P graph cache becomes this LRU.
+        self.predictor = Predictor(
+            model,
+            graph_cache_size=self.config.graph_cache_size,
+            compile=self.plan_cache is not None,
+            plan_cache=self.plan_cache,
+            registry=self.registry,
+        )
         self._request_stats = ServeStats(
             registry=self.registry, namespace="serve_request"
         )
         self._failed = self.registry.counter(
             "serve_request_failed", "Requests whose batch raised"
         )
-        self._in_flight = [0] * self.config.workers  # per-worker batch sizes
+        self._in_flight = 0  # size of the batch being served
         self.registry.gauge(
             "serve_in_flight",
-            "Requests currently executing in worker batches",
-            fn=lambda: sum(self._in_flight),
+            "Requests currently executing in the inference batch",
+            fn=lambda: self._in_flight,
         )
         self.registry.gauge(
             "serve_weights_version",
             "Weights generation currently served",
-            fn=self._primary.weights_version,
+            fn=model.weights_version,
         )
         self._traces_sampled = self.registry.counter(
             "serve_traces_sampled", "Requests that carried a sampled trace"
         )
-        self._threads: List[threading.Thread] = []
-        self._started = False
+        self._thread: Optional[threading.Thread] = None
         self._stopped = False
         # Stateful serving: the server owns per-user check-in state.
-        # The ingest pipeline sees every worker's QR-P graph LRU, so a
-        # session rollover retires the stale per-user entry everywhere
-        # — and, when the model exposes an incremental QR-P maintainer,
-        # pushes the O(session)-updated replacement into each worker
-        # cache so the next predict is a hit instead of a rebuild.
+        # The ingest pipeline sees the predictor's QR-P graph LRU, so a
+        # session rollover retires the stale per-user entry — and, when
+        # the model exposes an incremental QR-P maintainer, pushes the
+        # O(session)-updated replacement into the cache so the next
+        # predict is a hit instead of a rebuild.
         # A caller-supplied ``ingest`` (e.g. repro.cluster's
         # DurableIngest, which logs every acknowledged event) replaces
         # the default pipeline; its store becomes the server's.
@@ -305,8 +229,7 @@ class InferenceServer:
                 raise ValueError("pass either state_store or ingest, not both")
             self.state_store = ingest.store
             self.stream = ingest
-            for predictor in self.predictors:
-                ingest.register_predictor(predictor)
+            ingest.register_predictor(self.predictor)
             # the ingest pipeline predates the server (e.g. DurableIngest
             # built during recovery): adopt its instruments so /metrics
             # covers WAL/snapshot gauges and ingest counters too
@@ -316,11 +239,10 @@ class InferenceServer:
             self.stream = None
             if state_store is not None:
                 self.stream = StreamIngest(state_store, registry=self.registry)
-                for predictor in self.predictors:
-                    self.stream.register_predictor(predictor)
+                self.stream.register_predictor(self.predictor)
         # Model-quality observability (stateful servers only — the
-        # labels arrive as check-ins): every worker's served batch is
-        # recorded by one QualityMonitor, and the ingest observer hook
+        # labels arrive as check-ins): every served batch is recorded
+        # by one QualityMonitor, and the ingest observer hook
         # joins each user's next check-in against the pending
         # prediction; the same hook feeds the drift detector's
         # POI/tile sketches.  All instruments live in ``self.registry``
@@ -344,8 +266,7 @@ class InferenceServer:
             self.drift = DriftDetector(self.registry, tile_of=tile_of)
             self.stream.add_observer(self.quality.observe_checkin)
             self.stream.add_observer(self.drift.update)
-            for predictor in self.predictors:
-                predictor.quality = self.quality
+            self.predictor.quality = self.quality
 
     @classmethod
     def from_checkpoint(
@@ -363,42 +284,31 @@ class InferenceServer:
 
     @property
     def num_pois(self) -> Optional[int]:
-        return getattr(self._primary, "num_pois", None)
-
-    @property
-    def model(self):
-        """The primary model (weight reloads go through it)."""
-        return self._primary
+        return getattr(self.model, "num_pois", None)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "InferenceServer":
-        if self._started:
+        if self._thread is not None:
             raise RuntimeError("server already started")
-        self._started = True
-        for index, predictor in enumerate(self.predictors):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(index, predictor),
-                name=f"serve-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        self._thread = threading.Thread(
+            target=self._serve_loop, name="serve-inference", daemon=True
+        )
+        self._thread.start()
         return self
 
     def stop(self, drain: bool = True, timeout: Optional[float] = 30.0) -> None:
-        """Shut down the pool.
+        """Shut down the inference thread.
 
         ``drain=True`` serves everything already admitted before the
-        workers exit (graceful); ``drain=False`` fails the backlog
+        thread exits (graceful); ``drain=False`` fails the backlog
         fast.  Idempotent.
         """
         self._stopped = True
         self.scheduler.close(drain=drain)
-        for thread in self._threads:
-            thread.join(timeout)
+        if self._thread is not None:
+            self._thread.join(timeout)
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -408,7 +318,7 @@ class InferenceServer:
 
     @property
     def running(self) -> bool:
-        return self._started and not self._stopped
+        return self._thread is not None and not self._stopped
 
     # ------------------------------------------------------------------
     # request path
@@ -436,7 +346,7 @@ class InferenceServer:
     def predict(self, sample, timeout: Optional[float] = None) -> PredictorResult:
         """Blocking convenience wrapper: submit and wait for the result.
 
-        On timeout the request is cancelled so a worker does not later
+        On timeout the request is cancelled so the server does not later
         spend a batch slot computing a result nobody is waiting for.
         """
         future = self.submit(sample)
@@ -459,8 +369,8 @@ class InferenceServer:
         """Ingest one check-in into the server-owned user state.
 
         Appends to the sharded store, rolls the session at the Δt gap
-        boundary, and retires the user's stale QR-P graph entry from
-        every worker's cache.  Raises ``RuntimeError`` on a stateless
+        boundary, and retires the user's stale QR-P graph entry from the
+        server's graph cache.  Raises ``RuntimeError`` on a stateless
         server and ``ValueError`` for out-of-order arrivals.
         """
         if self.stream is None:
@@ -589,7 +499,7 @@ class InferenceServer:
         """Wait for one submitted request and encode its top ``k``.
 
         504 once ``request_timeout_s`` passes (the request is cancelled,
-        so a worker does not later spend a batch slot on a result nobody
+        so the server does not later spend a batch slot on a result nobody
         waits for), 500 when its batch raised.
         """
         timeout = self.config.request_timeout_s
@@ -620,17 +530,17 @@ class InferenceServer:
         return 200, {"weights_version": version}
 
     # ------------------------------------------------------------------
-    # worker pool
+    # the inference thread
     # ------------------------------------------------------------------
-    def _worker_loop(self, index: int, predictor: Predictor) -> None:
+    def _serve_loop(self) -> None:
         while True:
             batch = self.scheduler.next_batch()
             if batch is None:  # closed and drained
                 return
             samples = [request.sample for request in batch]
-            self._in_flight[index] = len(batch)
+            self._in_flight = len(batch)
             # One batch-scoped trace serves every traced member of the
-            # batch: the worker's spans (inference, and below it the
+            # batch: its spans (``infer.batch``, and below it the
             # model's encode/plan-replay/ranking spans) are recorded
             # once and grafted into each member's own trace afterwards,
             # so a request's tree shows the shared work it rode on.
@@ -642,12 +552,10 @@ class InferenceServer:
             try:
                 if batch_trace is not None:
                     with activate(batch_trace):
-                        with span(
-                            "infer.batch", worker=index, batch_size=len(batch)
-                        ):
-                            results = predictor.predict_batch(samples)
+                        with span("infer.batch", batch_size=len(batch)):
+                            results = self.predictor.predict_batch(samples)
                 else:
-                    results = predictor.predict_batch(samples)
+                    results = self.predictor.predict_batch(samples)
             except Exception as error:  # contain the blast radius to this batch
                 self._failed.inc(len(batch))
                 for request in batch:
@@ -657,7 +565,7 @@ class InferenceServer:
                         pass  # client cancelled; nothing to deliver
                 continue
             finally:
-                self._in_flight[index] = 0
+                self._in_flight = 0
             completed_at = time.monotonic()
             exported = (
                 batch_trace.export_spans() if batch_trace is not None else None
@@ -684,20 +592,17 @@ class InferenceServer:
     # hot weight reload
     # ------------------------------------------------------------------
     def reload_weights(self, source: Union[str, Path, Dict]) -> int:
-        """Swap in new weights without restarting the pool.
+        """Swap in new weights without restarting the server.
 
-        ``source`` is a checkpoint path or a ``state_dict`` mapping.
-        Parameters are shared objects across all worker replicas, so
-        one ``load_state_dict`` on the primary updates every worker;
-        the bumped ``weights_version`` then invalidates each worker's
-        cached embedding tables on its next request — and every cached
-        inference plan, whose keys carry the version (the pool re-traces
-        against the new tables on first use).  Extra inference
-        state (e.g. MC count tables) is re-applied to every replica
-        explicitly, since it lives in plain attributes that shallow
-        copies do not share on reassignment.  A batch already running
-        during the swap may mix old and new parameters — acceptable
-        for incremental refreshes; drain first if you need a hard cut.
+        ``source`` is a checkpoint path or a ``state_dict`` mapping; a
+        checkpoint's extra inference state (e.g. Graph-Flashback's
+        transition graph) is loaded too.  The bumped ``weights_version``
+        invalidates the predictor's cached embedding tables on its next
+        batch — and every cached inference plan, whose keys carry the
+        version (the next batch re-traces against the new tables).  A
+        batch already running during the swap may mix old and new
+        parameters — acceptable for incremental refreshes; drain first
+        if you need a hard cut.
 
         Returns the new ``weights_version``.
         """
@@ -705,19 +610,17 @@ class InferenceServer:
         if isinstance(source, (str, Path)):
             meta, params, extra = read_checkpoint(source)
             name = meta.get("model_name")
-            expected = getattr(self._primary, "name", None)
+            expected = getattr(self.model, "name", None)
             if name != expected:
                 raise ValueError(
                     f"checkpoint holds weights for {name!r}, server runs {expected!r}"
                 )
         else:
             params = dict(source)
-        self._primary.load_state_dict(params)
+        self.model.load_state_dict(params)
         if extra:
-            self._primary.load_extra_state(extra)
-            for predictor in self.predictors:
-                predictor.model.load_extra_state(extra)
-        return self._primary.weights_version()
+            self.model.load_extra_state(extra)
+        return self.model.weights_version()
 
     # ------------------------------------------------------------------
     # observability
@@ -726,8 +629,7 @@ class InferenceServer:
         """The ``GET /healthz`` body (a stopping server still answers)."""
         return {
             "status": "ok" if self.running else "stopping",
-            "workers": len(self.predictors),
-            "weights_version": self._primary.weights_version(),
+            "weights_version": self.model.weights_version(),
         }
 
     @property
@@ -744,62 +646,36 @@ class InferenceServer:
         """One JSON-ready snapshot of the whole runtime.
 
         ``scheduler`` covers admission (``queue_depth``, rejections),
-        ``batches`` the pooled per-batch execution stats across
-        workers, ``workers_detail`` each worker's in-flight batch size
-        and lifetime counters, and ``requests`` end-to-end request
-        latency (enqueue to completion, i.e. queueing + batching delay
-        + inference).  ``queue_depth`` + per-worker ``in_flight`` are
-        the backpressure gauges: watching them climb is how operators
-        (and the replay bench) see saturation building *before* the
-        bounded queue starts returning 429s.  Stateful servers add a
-        ``stream`` section (store occupancy + ingest counters), and
-        ``plans`` reports the pool-wide plan cache (trace/hit/miss/
-        fallback counters plus per-plan step and buffer sizes) or
-        ``{"enabled": false}`` when serving eagerly.
+        ``batches`` the predictor's per-batch execution stats, and
+        ``requests`` end-to-end request latency (enqueue to completion,
+        i.e. queueing + batching delay + inference).  ``queue_depth`` +
+        ``in_flight`` (the size of the batch being served) are the
+        backpressure gauges: watching them climb is how operators (and
+        the replay bench) see saturation building *before* the bounded
+        queue starts returning 429s.  Stateful servers add a ``stream``
+        section (store occupancy + ingest counters), and ``plans``
+        reports the plan cache (trace/hit/miss/fallback counters plus
+        per-plan step and buffer sizes) or ``{"enabled": false}`` when
+        serving eagerly.
         """
-        batch_requests = batch_count = refreshes = hits = 0
-        latency_snapshots: List[Dict] = []
-        workers_detail: List[Dict] = []
-        for index, predictor in enumerate(self.predictors):
-            stats = predictor.stats
-            latency_snapshots.append(stats.latency.snapshot())
-            batch_requests += stats.requests
-            batch_count += stats.batches
-            refreshes += stats.embedding_refreshes
-            hits += stats.embedding_cache_hits
-            workers_detail.append(
-                {
-                    "worker": index,
-                    "in_flight": self._in_flight[index],
-                    "requests": stats.requests,
-                    "batches": stats.batches,
-                }
-            )
-        # per-worker histograms sum bucket-wise into one pool-wide
-        # latency distribution — the merge the old pooled-list window
-        # approximated with O(requests) memory
-        pooled = merge_histogram_snapshots(latency_snapshots)
+        stats = self.predictor.stats
+        batch_requests, batch_count = stats.requests, stats.batches
         request_stats = self._request_stats.as_dict()
         scheduler_stats = self.scheduler.stats()
         failed = int(self._failed.value)
         out = {
             "running": self.running,
-            "workers": len(self.predictors),
-            "weights_version": self._primary.weights_version(),
+            "weights_version": self.model.weights_version(),
             "queue_depth": scheduler_stats["queue_depth"],
-            "in_flight": sum(w["in_flight"] for w in workers_detail),
-            "workers_detail": workers_detail,
+            "in_flight": self._in_flight,
             "scheduler": scheduler_stats,
             "batches": {
                 "count": batch_count,
                 "requests": batch_requests,
                 "mean_size": batch_requests / batch_count if batch_count else 0.0,
-                "embedding_refreshes": refreshes,
-                "embedding_cache_hits": hits,
-                **{
-                    f"p{p}_ms": 1000.0 * snapshot_percentile(pooled, p)
-                    for p in LATENCY_PERCENTILES
-                },
+                "embedding_refreshes": stats.embedding_refreshes,
+                "embedding_cache_hits": stats.embedding_cache_hits,
+                **stats.latency_percentiles(),
             },
             "requests": {
                 "completed": request_stats["requests"],

@@ -22,9 +22,9 @@
   cache-neutral: the next predict for that user hits a fresh entry
   instead of paying an O(history) rebuild.
 
-Registered caches are the per-worker QR-P graph LRUs of an
-:class:`~repro.serve.InferenceServer` (or a single offline
-:class:`~repro.serve.Predictor` during replay).
+Registered caches are QR-P graph LRUs: an
+:class:`~repro.serve.InferenceServer`'s predictor's (or a single
+offline :class:`~repro.serve.Predictor`'s during replay).
 """
 
 from __future__ import annotations

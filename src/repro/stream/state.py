@@ -92,7 +92,7 @@ class AppendResult:
     maintainer is attached, ``history_key``/``graph_entry`` carry the
     *replacement*: the key the moved history now lives under and the
     incrementally updated ``(qrp, edges)`` cache value, which the
-    ingest pipeline pushes into compatible worker caches so the next
+    ingest pipeline pushes into compatible graph caches so the next
     predict for this user is a cache hit instead of a rebuild.
     """
 
@@ -258,12 +258,12 @@ class UserStateStore:
         """Adopt one incremental QR-P maintainer for the whole store.
 
         Returns True when ``maintainer`` is (now) the store's
-        maintainer — workers sharing one tile system pass the same
+        maintainer — every model over one tile system passes the same
         memoised instance, so every registration after the first is a
         no-op success.  A *different* maintainer (e.g. a second model
         over another tile system sharing the store) returns False: the
         store keeps maintaining graphs for the first one, and the
-        mismatched worker simply gets no pushed entries — its cache
+        mismatched predictor simply gets no pushed entries — its cache
         misses rebuild per key, exactly as before this feature.
         """
         if maintainer is None:

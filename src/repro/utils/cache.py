@@ -11,8 +11,8 @@ class LRUCache:
     """Least-recently-used map; ``maxsize=None`` means unbounded.
 
     Tracks hit/miss counters so serving code can report cache health.
-    All operations are thread-safe: the serving worker pool inserts QR-P
-    graphs from several threads at once, and an unguarded
+    All operations are thread-safe: a ``Predictor`` called from several
+    threads inserts QR-P graphs concurrently, and an unguarded
     ``OrderedDict`` reorder/evict can corrupt the linked list mid-read.
     """
 

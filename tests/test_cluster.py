@@ -8,7 +8,9 @@ SIGKILL a shard mid-ingest and assert the restarted process serves
 exactly the state the control never lost.  Shards load the checkpoint
 with the single-process tier's loader: baseline checkpoints rank alike
 on both tiers, and a restarted shard keeps the starting weights after
-the checkpoint file is replaced.
+the checkpoint file is replaced.  A ``repro serve --persist``
+subprocess, with and without ``--cluster 1``, exits cleanly with its
+final snapshot written when a second Ctrl-C lands during shutdown.
 
 Worker processes spawn (~seconds each): everything that can share the
 module cluster does, and the multi-cycle crash loop is marked slow.
@@ -16,9 +18,16 @@ module cluster does, and the multi-cycle crash loop is marked slow.
 
 import json
 import os
+import queue
+import re
 import signal
+import subprocess
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,7 +692,7 @@ class TestShardStatuses:
         # never started: no worker drains the one-slot queue
         server = InferenceServer(
             loaded.model,
-            config=ServerConfig(workers=1, max_queue=1),
+            config=ServerConfig(max_queue=1),
             dataset=loaded.dataset,
             ingest=ingest,
         )
@@ -744,6 +753,67 @@ class TestServeClusterCLI:
         assert seen["config"].store.num_shards == 3
 
 
+class TestServeShutdown:
+    """A second Ctrl-C during ``repro serve``'s graceful shutdown does
+    not abort it: the process exits 0 with its final snapshot written."""
+
+    @pytest.mark.parametrize(
+        "extra, snapshot_dir",
+        [
+            pytest.param([], ".", id="persist"),
+            pytest.param(["--cluster", "1"], "shard-00", id="cluster"),
+        ],
+    )
+    def test_second_sigint_does_not_abort_shutdown(
+        self, checkpoint, tmp_path, extra, snapshot_dir
+    ):
+        persist = tmp_path / "state"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONUNBUFFERED="1",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--checkpoint", str(checkpoint),
+             "--persist", str(persist), "--port", "0", *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        lines = queue.Queue()
+        output = []
+
+        def read():
+            for line in proc.stdout:
+                lines.put(line)
+            lines.put(None)  # end of output
+
+        def wait_for(text, timeout):
+            deadline = time.monotonic() + timeout
+            while True:
+                line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+                assert line is not None, f"exited before {text!r}: {''.join(output)}"
+                output.append(line)
+                if text in line:
+                    return line
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            url = re.search(r"serving on (\S+)", wait_for("serving on", 120)).group(1)
+            # an answer means serve_forever runs, inside its try block
+            urllib.request.urlopen(url + "/healthz", timeout=30).close()
+            proc.send_signal(signal.SIGINT)
+            wait_for("shutting down", 30)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0, "".join(output)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            reader.join(5.0)
+            proc.stdout.close()
+        assert list((persist / snapshot_dir).glob("snapshot-*.npz"))
+
+
 # ----------------------------------------------------------------------
 # compiled-plan path through the cluster tier
 # ----------------------------------------------------------------------
@@ -760,7 +830,7 @@ class TestCompiledClusterIdentity:
         eager_config = small_cluster_config(
             snapshot_interval=40,
             server=ServerConfig(
-                workers=1, max_wait_ms=2.0, request_timeout_s=30.0, compile=False
+                max_wait_ms=2.0, request_timeout_s=30.0, compile=False
             ),
         )
         compiled = ClusterRouter(checkpoint, tmp_path / "compiled", config=config)

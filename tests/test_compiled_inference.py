@@ -365,7 +365,7 @@ class TestPlanCacheBehaviour:
         assert compiled.plan_cache.misses == 1
 
     def test_shared_cache_across_predictors(self, tiny, model):
-        """A pool of replicas shares one cache: one trace, then hits."""
+        """Two predictors handed one cache share it: one trace, then hits."""
         _, splits = tiny
         batch = list(splits.test[:4])
         cache = PlanCache(dtype="float64")

@@ -31,10 +31,8 @@ from repro.obs import (
     diff_scrapes,
     format_report,
     maybe_trace,
-    merge_histogram_snapshots,
     parse_prometheus,
     render_prometheus,
-    snapshot_percentile,
     span,
     span_creation_count,
 )
@@ -103,24 +101,6 @@ class TestInstruments:
         p = h.percentiles((50, 95, 99))
         assert p["p50"] <= p["p95"] <= p["p99"]
         assert 0.001 <= p["p50"] <= 0.1
-
-    def test_merge_equals_union(self):
-        registry = MetricsRegistry()
-        a = registry.histogram("a")
-        b = registry.histogram("b")
-        both = registry.histogram("both")
-        for i in range(50):
-            a.observe(i / 1000.0)
-            both.observe(i / 1000.0)
-        for i in range(50, 100):
-            b.observe(i / 1000.0)
-            both.observe(i / 1000.0)
-        merged = merge_histogram_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["count"] == both.snapshot()["count"]
-        assert merged["counts"] == both.snapshot()["counts"]
-        assert snapshot_percentile(merged, 95) == pytest.approx(
-            both.percentile(95)
-        )
 
     def test_registry_get_or_create_and_kind_mismatch(self):
         registry = MetricsRegistry()
@@ -435,7 +415,7 @@ class TestServeTracing:
     @pytest.fixture(scope="class")
     def traced_stack(self, model):
         config = ServerConfig(
-            workers=1, max_batch_size=4, max_wait_ms=1.0, trace_sample=1.0
+            max_batch_size=4, max_wait_ms=1.0, trace_sample=1.0
         )
         server = InferenceServer(model, config=config).start()
         front = HttpFrontend(server, port=0).start()
@@ -492,7 +472,7 @@ class TestServeTracing:
     def test_sampling_off_allocates_no_spans(self, tiny, model):
         _, splits = tiny
         config = ServerConfig(
-            workers=1, max_batch_size=4, max_wait_ms=1.0, trace_sample=0.0
+            max_batch_size=4, max_wait_ms=1.0, trace_sample=0.0
         )
         server = InferenceServer(model, config=config).start()
         front = HttpFrontend(server, port=0).start()
@@ -535,7 +515,7 @@ def traced_cluster(tiny, checkpoint, tmp_path_factory):
         heartbeat_interval_s=0.5,
         auto_restart=False,
         server=ServerConfig(
-            workers=1, max_wait_ms=2.0, request_timeout_s=30.0, trace_sample=1.0
+            max_wait_ms=2.0, request_timeout_s=30.0, trace_sample=1.0
         ),
     )
     router = ClusterRouter(

@@ -507,7 +507,7 @@ class TestQualityOverHttp:
         events = events_from_checkins(tiny_dataset.checkins)[:160]
         store = UserStateStore(StoreConfig())
         config = ServerConfig(
-            workers=2, max_batch_size=8, max_wait_ms=1.0, quality_topk=20
+            max_batch_size=8, max_wait_ms=1.0, quality_topk=20
         )
         expected = {
             s: {"joins": 0, "hits": {5: 0, 10: 0, 20: 0}, "mrr": 0.0,

@@ -1,6 +1,6 @@
-"""Tests for the async serving runtime: micro-batch scheduler, worker
-pool, HTTP front-end, and the thread-safety substrate underneath it
-(thread-local grad mode, locked caches and stats)."""
+"""Tests for the async serving runtime: micro-batch scheduler, the
+inference thread, HTTP front-end, and the thread-safety substrate
+underneath it (thread-local grad mode, locked caches and stats)."""
 
 import json
 import threading
@@ -382,7 +382,7 @@ def _wait_until(predicate, timeout=5.0):
 class TestInferenceServerRuntime:
     def test_busy_worker_backpressure_then_recovery(self):
         stub = GatedModel()
-        config = ServerConfig(workers=1, max_batch_size=1, max_wait_ms=0.0, max_queue=2)
+        config = ServerConfig(max_batch_size=1, max_wait_ms=0.0, max_queue=2)
         server = InferenceServer(stub, config=config).start()
         try:
             first = server.submit(_stub_sample(0))
@@ -402,7 +402,7 @@ class TestInferenceServerRuntime:
 
     def test_graceful_shutdown_drains_in_flight_and_queued(self):
         stub = GatedModel()
-        config = ServerConfig(workers=1, max_batch_size=2, max_wait_ms=0.0)
+        config = ServerConfig(max_batch_size=2, max_wait_ms=0.0)
         server = InferenceServer(stub, config=config).start()
         first = server.submit(_stub_sample(0))
         assert _wait_until(lambda: server.scheduler.depth() == 0)
@@ -421,7 +421,7 @@ class TestInferenceServerRuntime:
 
     def test_stop_without_drain_fails_backlog(self):
         stub = GatedModel()
-        config = ServerConfig(workers=1, max_batch_size=1, max_wait_ms=0.0)
+        config = ServerConfig(max_batch_size=1, max_wait_ms=0.0)
         server = InferenceServer(stub, config=config).start()
         first = server.submit(_stub_sample(0))
         assert _wait_until(lambda: server.scheduler.depth() == 0)
@@ -442,7 +442,7 @@ class TestInferenceServerRuntime:
 
         stub = FlakyModel()
         stub.gate.set()
-        config = ServerConfig(workers=1, max_batch_size=1, max_wait_ms=0.0)
+        config = ServerConfig(max_batch_size=1, max_wait_ms=0.0)
         server = InferenceServer(stub, config=config).start()
         try:
             bad_sample = PredictionSample(
@@ -463,7 +463,7 @@ class TestInferenceServerRuntime:
     def test_submit_validates_before_batching(self):
         stub = GatedModel()
         stub.gate.set()
-        server = InferenceServer(stub, config=ServerConfig(workers=1))
+        server = InferenceServer(stub, config=ServerConfig())
         with pytest.raises(ValueError, match="non-empty"):
             server.submit(
                 PredictionSample(user_id=0, history=[], prefix=[], target=None,
@@ -485,23 +485,6 @@ class TestInferenceServerRuntime:
                 )
             )
 
-    def test_pool_shares_one_embedding_refresh_per_version(self, model):
-        server = InferenceServer(
-            model, config=ServerConfig(workers=3, max_batch_size=1, max_wait_ms=0.0)
-        )
-        # drive every replica directly: each must hit the shared store
-        sample = PredictionSample(
-            user_id=0, history=[], prefix=[Visit(0, 0.0)], target=None,
-            history_key=("stub", "shared"),
-        )
-        states = [predictor.shared_state() for predictor in server.predictors]
-        assert all(state is states[0] for state in states)  # one copy, shared
-        refreshes = sum(p.stats.embedding_refreshes for p in server.predictors)
-        hits = sum(p.stats.embedding_cache_hits for p in server.predictors)
-        assert refreshes == 1 and hits == 2
-        results = [p.predict(sample).ranked_pois for p in server.predictors]
-        assert results[0] == results[1] == results[2]
-
 
 # ----------------------------------------------------------------------
 # end-to-end equivalence on the real model
@@ -512,7 +495,7 @@ class TestServedEquivalence:
         batch = _edge_case_batch(splits)
         direct = {id(s): r for s, r in zip(batch, model.predict_batch(batch))}
 
-        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=2.0)
+        config = ServerConfig(max_batch_size=4, max_wait_ms=2.0)
         server = InferenceServer(model, config=config).start()
         failures = []
         try:
@@ -547,19 +530,13 @@ class TestServedEquivalence:
         before = [r.ranked_pois for r in model.predict_batch(probes)]
         assert expected != before, "fixture models must rank differently"
 
-        server = InferenceServer(model, config=ServerConfig(workers=2)).start()
+        server = InferenceServer(model, config=ServerConfig()).start()
         try:
             version_before = model.weights_version()
             served_before = [server.predict(s, timeout=30.0).ranked_pois for s in probes]
             assert served_before == before
             new_version = server.reload_weights(str(checkpoint))
             assert new_version > version_before
-            # every replica shares the swapped parameters (zero-copy)
-            for predictor in server.predictors:
-                replica_ranks = [
-                    r.ranked_pois for r in predictor.predict_batch(probes)
-                ]
-                assert replica_ranks == expected
             served_after = [server.predict(s, timeout=30.0).ranked_pois for s in probes]
             assert served_after == expected
         finally:
@@ -575,14 +552,14 @@ class TestServedEquivalence:
         mc = make_baseline("MC", len(dataset.city.pois), locations)
         mc.fit(splits.train)
         checkpoint = save_checkpoint(mc, tmp_path / "mc.npz")
-        server = InferenceServer(model, config=ServerConfig(workers=1))
+        server = InferenceServer(model, config=ServerConfig())
         with pytest.raises(ValueError, match="MC"):
             server.reload_weights(str(checkpoint))
 
 
 class TestCompiledServing:
     """The compiled-plan path through the async runtime (satellite of
-    the trace/plan refactor): identity vs eager, the shared pool-wide
+    the trace/plan refactor): identity vs eager, the server's one
     plan cache, the ``/stats`` plans section, and the escape hatch."""
 
     def test_async_compiled_matches_eager(self, tiny, model):
@@ -591,7 +568,7 @@ class TestCompiledServing:
         eager = Predictor(model, graph_cache_size=None, compile=False)
         expected = {id(s): r for s, r in zip(batch, eager.predict_batch(batch))}
 
-        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=2.0)
+        config = ServerConfig(max_batch_size=4, max_wait_ms=2.0)
         server = InferenceServer(model, config=config).start()
         try:
             assert server.plan_cache is not None
@@ -601,16 +578,13 @@ class TestCompiledServing:
                 assert served.ranked_pois == want.ranked_pois
                 assert served.ranked_tiles == want.ranked_tiles
                 assert served.poi_rank == want.poi_rank
-            # every worker replica shares the one plan cache
-            assert all(
-                p.plan_cache is server.plan_cache for p in server.predictors
-            )
+            assert server.predictor.plan_cache is server.plan_cache
         finally:
             server.stop(drain=True)
 
     def test_stats_reports_plans_section(self, tiny, model):
         _, splits = tiny
-        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=2.0)
+        config = ServerConfig(max_batch_size=4, max_wait_ms=2.0)
         server = InferenceServer(model, config=config).start()
         try:
             for sample in splits.test[:8]:
@@ -634,7 +608,7 @@ class TestCompiledServing:
         batch = list(splits.test[:4])
         eager = Predictor(model, graph_cache_size=None, compile=False)
         expected = [r.ranked_pois for r in eager.predict_batch(batch)]
-        config = ServerConfig(workers=1, compile=False)
+        config = ServerConfig(compile=False)
         server = InferenceServer(model, config=config).start()
         try:
             assert server.plan_cache is None
@@ -647,7 +621,7 @@ class TestCompiledServing:
     def test_plan_dtype_float32_served(self, tiny, model):
         _, splits = tiny
         batch = list(splits.test[:4])
-        config = ServerConfig(workers=1, plan_dtype="float32")
+        config = ServerConfig(plan_dtype="float32")
         server = InferenceServer(model, config=config).start()
         try:
             results = [server.predict(s, timeout=30.0) for s in batch]
@@ -788,7 +762,7 @@ class TestWireFormat:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def http_stack(model):
-    config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=2.0)
+    config = ServerConfig(max_batch_size=4, max_wait_ms=2.0)
     server = InferenceServer(model, config=config).start()
     front = HttpFrontend(server, port=0).start()
     yield server, front
@@ -821,7 +795,6 @@ class TestHttpFrontend:
         status, body = _get(front.url + "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["workers"] == 2
 
     def test_predict_matches_direct_model(self, tiny, model, http_stack):
         _, splits = tiny
@@ -917,7 +890,6 @@ class TestHttpFrontend:
         _, front = http_stack
         status, stats = _get(front.url + "/stats")
         assert status == 200
-        assert stats["workers"] == 2
         assert {"scheduler", "batches", "requests"} <= set(stats)
         assert {"p50_ms", "p95_ms", "p99_ms"} <= set(stats["requests"])
         assert stats["scheduler"]["max_batch_size"] == 4

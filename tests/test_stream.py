@@ -395,7 +395,7 @@ def _events_of_user(dataset, user):
 
 class TestStatefulServing:
     def test_stateless_server_refuses_stateful_calls(self, model):
-        server = InferenceServer(model, config=ServerConfig(workers=1))
+        server = InferenceServer(model, config=ServerConfig())
         with pytest.raises(RuntimeError, match="stateless"):
             server.checkin(ev(1, 3, 0.0))
         with pytest.raises(RuntimeError, match="stateless"):
@@ -411,7 +411,7 @@ class TestStatefulServing:
         )
         events = _events_of_user(tiny_dataset, user)[:24]
         store = UserStateStore(StoreConfig(num_shards=4))
-        config = ServerConfig(workers=2, max_batch_size=4, max_wait_ms=1.0)
+        config = ServerConfig(max_batch_size=4, max_wait_ms=1.0)
         with InferenceServer(model, config=config, state_store=store) as server:
             for event in events:
                 server.checkin(event)
@@ -431,7 +431,7 @@ class TestStatefulServing:
         nor produce invalid results."""
         users = tiny_dataset.checkins.users()[:6]
         store = UserStateStore(StoreConfig(num_shards=4))
-        config = ServerConfig(workers=2, max_batch_size=8, max_wait_ms=2.0)
+        config = ServerConfig(max_batch_size=8, max_wait_ms=2.0)
         num_pois = len(tiny_dataset.city.pois)
         errors = []
         with InferenceServer(model, config=config, state_store=store) as server:
@@ -460,16 +460,14 @@ class TestStatefulServing:
     def test_stats_expose_backpressure_gauges(self, model):
         store = UserStateStore(StoreConfig(num_shards=2))
         with InferenceServer(
-            model, config=ServerConfig(workers=2), state_store=store
+            model, config=ServerConfig(), state_store=store
         ) as server:
             server.checkin(ev(1, 3, 0.0))
             stats = server.stats()
         assert stats["queue_depth"] == 0
         assert stats["in_flight"] == 0
-        assert [w["worker"] for w in stats["workers_detail"]] == [0, 1]
-        assert {"in_flight", "requests", "batches"} <= set(stats["workers_detail"][0])
         assert stats["stream"]["users"] == 1
-        assert stats["stream"]["registered_caches"] == 2
+        assert stats["stream"]["registered_caches"] == 1
 
 
 class TestStatefulHttp:
@@ -478,7 +476,7 @@ class TestStatefulHttp:
         store = UserStateStore(StoreConfig(num_shards=2))
         server = InferenceServer(
             model,
-            config=ServerConfig(workers=1, max_batch_size=4, max_wait_ms=1.0),
+            config=ServerConfig(max_batch_size=4, max_wait_ms=1.0),
             state_store=store,
         ).start()
         frontend = HttpFrontend(server, port=0).start()
@@ -553,7 +551,7 @@ class TestStatefulHttp:
         assert stats["stream"]["sessions_rolled"] == 1
 
     def test_stateless_server_historyless_predict_400(self, model):
-        server = InferenceServer(model, config=ServerConfig(workers=1)).start()
+        server = InferenceServer(model, config=ServerConfig()).start()
         try:
             with HttpFrontend(server, port=0) as front:
                 status, body = self._post(front.url + "/predict", {"user_id": 3})
