@@ -3,7 +3,7 @@ BENCH_cluster.
 
 Extends the BENCH trajectory to the ``repro.cluster`` subsystem.  A
 trained quick-profile NYC model replays the dataset's check-ins as a
-prequential ingest+predict workload through four deployments:
+prequential ingest+predict workload through these deployments:
 
 * **baseline** — the serialised stateless cost model from
   BENCH_stream: rebuild the user's sessions and QR-P graph from the
@@ -14,25 +14,16 @@ prequential ingest+predict workload through four deployments:
 * **cluster-2 / cluster-4** — the new tier: shard worker subprocesses
   with consistent-hash routing, every acknowledged event logged to a
   per-shard WAL with periodic snapshots, predictions pipelined through
-  each shard's micro-batch scheduler;
-* **cluster-4-compiled** — the same 4-shard tier serving captured
-  float64 inference plans.  A prequential ingest replay is the most
-  tracing-hostile workload there is (histories grow and micro-batch
-  sizes churn, so shards keep meeting fresh shape buckets over a tape
-  far too short to amortise them — the plan counters recorded per leg
-  show traces ≈ misses), so this leg is reported separately rather
-  than gated; the compiled path's throughput win is gated in
-  ``bench_serve_throughput.py`` where buckets repeat.  What *is*
-  asserted here is identity: the compiled cluster's post-ingest
-  ranked lists must match the never-crashed single-process control.
+  each shard's micro-batch scheduler.  Shards serve float64 eagerly,
+  the serving default.
 
 After the cluster legs the harness SIGKILLs a shard and times the
 supervisor-path restart (process spawn + dataset rebuild + snapshot
 load + log-tail fold) — the measured crash-recovery cost, not a guess.
 
 Gates: the 4-shard cluster must sustain >= 2x the serialised
-baseline's events/s, and the cluster's post-ingest ranked lists must
-be identical to a never-crashed single-process control.  On a
+baseline's events/s, and its post-ingest ranked lists must be
+identical to a never-crashed single-process control.  On a
 single-core box the cluster cannot beat the *in-process* stream leg
 (N processes time-slice one core and pay IPC on top); the JSON records
 ``cpu_cores`` so the trajectory stays honest about that.
@@ -66,7 +57,7 @@ PASSES = 3
 PASS_GAP_HOURS = 96.0  # > the 72h session-gap rule: each pass is a new session
 
 
-def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compiled):
+def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads):
     """Time one full ingest+predict pass through an N-shard cluster."""
     from repro.cluster import ClusterConfig, ClusterRouter
     from repro.serve import ServerConfig
@@ -84,8 +75,6 @@ def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compil
             # time-slicing
             max_wait_ms=10.0,
             request_timeout_s=30.0,
-            compile=compiled,
-            plan_dtype="float64",
         ),
         heartbeat_interval_s=1.0,
         auto_restart=False,
@@ -106,19 +95,8 @@ def _cluster_leg(checkpoint, persist_dir, leg_name, num_shards, payloads, compil
         "seconds": round(seconds, 3),
         "events_per_second": round(len(payloads) / seconds, 2),
         "startup_seconds": round(startup_s, 2),
-        "compile": config.server.compile,
+        "plan_dtype": config.server.plan_dtype,
     }
-    if compiled:
-        shard_plans = [
-            shard.get("plans", {})
-            for shard in router.stats()["cluster"]["shards"]
-            if shard.get("status") == "ok"
-        ]
-        leg["plan_dtype"] = config.server.plan_dtype
-        leg["plans"] = sum(len(p.get("plans", [])) for p in shard_plans)
-        leg["plan_traces"] = sum(p.get("traces", 0) for p in shard_plans)
-        leg["plan_hits"] = sum(p.get("hits", 0) for p in shard_plans)
-        leg["plan_misses"] = sum(p.get("misses", 0) for p in shard_plans)
     return router, leg
 
 
@@ -165,10 +143,7 @@ def run_bench(profile=None, save_report=None):
     payloads = [event_to_json(event) for event in events]
 
     # ---- single-process legs (baseline re-measured for the gate) ----
-    # eager on purpose: these model the legacy deployments the durable
-    # tier replaces, and the gate must compare like with like (the
-    # eager cluster legs below)
-    predictor = Predictor(model, graph_cache_size=512, compile=False)
+    predictor = Predictor(model, graph_cache_size=512)
     comparison = compare_replay(
         predictor, events, batch_size=BATCH_SIZE, max_events=MAX_EVENTS
     )
@@ -191,25 +166,18 @@ def run_bench(profile=None, save_report=None):
         # ---- cluster legs ----
         recovery = None
         parity = None
-        plan_legs = (
-            ("cluster-2", 2, False),
-            ("cluster-4", 4, False),
-            ("cluster-4-compiled", 4, True),
-        )
-        for leg_name, num_shards, compiled in plan_legs:
+        for leg_name, num_shards in (("cluster-2", 2), ("cluster-4", 4)):
             router, leg = _cluster_leg(
                 checkpoint, tmp / f"persist-{leg_name}", leg_name, num_shards,
-                payloads, compiled,
+                payloads,
             )
             try:
                 if leg_name == "cluster-2":
                     recovery = _measure_recovery(router)
-                elif compiled:
-                    # ranked-list identity vs a never-crashed control:
-                    # compiled-float64 shards against the serve tier's
-                    # default (also compiled float64, itself identity-
-                    # tested against eager) — the compiled cluster
-                    # surface checked end-to-end after a real ingest
+                else:
+                    # ranked-list identity vs a never-crashed
+                    # single-process control, checked end-to-end after
+                    # a real ingest
                     loaded = load_checkpoint(checkpoint, dataset=data.dataset)
                     control = InferenceServer(
                         loaded.model,

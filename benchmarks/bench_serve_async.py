@@ -11,7 +11,7 @@ several concurrency levels under three batching configurations:
   SANST) is reported against; concurrency only queues.
 * **batched** — ``max_batch_size=16, max_wait_ms=4``: the dynamic
   micro-batching scheduler coalesces concurrent clients into one
-  vectorised ``predict_batch`` pass (plans off — pure eager).
+  vectorised ``predict_batch`` pass (float64, served eagerly).
 * **compiled** — the batched scheduler serving captured inference
   plans in float32, the compiled serving configuration; the cell also
   records the server's plan-cache counters (plans/traces/hits/misses)
@@ -52,18 +52,10 @@ pytestmark = pytest.mark.slow
 RESULTS_DIR = Path(__file__).parent / "results"
 
 CONFIGS = {
-    "serial": ServerConfig(
-        max_batch_size=1, max_wait_ms=0.0, max_queue=4096, compile=False
-    ),
-    "batched": ServerConfig(
-        max_batch_size=16, max_wait_ms=4.0, max_queue=4096, compile=False
-    ),
+    "serial": ServerConfig(max_batch_size=1, max_wait_ms=0.0, max_queue=4096),
+    "batched": ServerConfig(max_batch_size=16, max_wait_ms=4.0, max_queue=4096),
     "compiled": ServerConfig(
-        max_batch_size=16,
-        max_wait_ms=4.0,
-        max_queue=4096,
-        compile=True,
-        plan_dtype="float32",
+        max_batch_size=16, max_wait_ms=4.0, max_queue=4096, plan_dtype="float32"
     ),
 }
 CONCURRENCY_LEVELS = (4, 16)
@@ -246,13 +238,12 @@ def run_bench(profile=None, save_report=None):
             name: {
                 "max_batch_size": config.max_batch_size,
                 "max_wait_ms": config.max_wait_ms,
-                "compile": config.compile,
+                "plan_dtype": config.plan_dtype,
             }
             for name, config in CONFIGS.items()
         },
         "concurrency_levels": list(CONCURRENCY_LEVELS),
         "requests_per_client": REQUESTS_PER_CLIENT,
-        "plan_dtype": CONFIGS["compiled"].plan_dtype,
         "results": [
             {key: (round(value, 4) if isinstance(value, float) else value)
              for key, value in cell.items()}

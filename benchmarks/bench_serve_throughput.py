@@ -1,6 +1,6 @@
 """Serving throughput and latency percentiles — the BENCH_serve harness.
 
-Seeds the BENCH trajectory for the ``repro.serve`` subsystem.  Five
+Seeds the BENCH trajectory for the ``repro.serve`` subsystem.  Four
 legs, slowest to fastest:
 
 * **uncached** — the legacy research loop (``compute_embeddings()``
@@ -10,18 +10,16 @@ legs, slowest to fastest:
 * **batched** — the vectorised ``predict_batch`` path: padded-and-
   masked batch encode plus single-matmul tile/POI ranking, measured
   per batch so p50/p95/p99 latencies are meaningful;
-* **compiled** / **compiled_f32** — the batched facade replaying
-  captured inference plans (trace-once, graph-free): float64 is
-  bit-identical to eager (the correctness surface), float32 is the
-  compiled *serving* configuration — plans run float32 end-to-end
-  with dtype-specialised replay kernels.  Plan-cache counters
-  (plans, hits, misses) ride along per leg.  The batched and compiled
-  legs are interleaved round-robin, and each speedup is the median of
-  per-round paired ratios, so shared-host clock drift cancels out.
+* **compiled_f32** — the batched facade replaying captured float32
+  inference plans (trace-once, graph-free), the opt-in compiled
+  serving configuration, with dtype-specialised replay kernels.
+  Plan-cache counters (plans, hits, misses) ride along.  The batched
+  and compiled legs are interleaved round-robin, and the speedup is
+  the median of per-round paired ratios, so shared-host clock drift
+  cancels out.
 
 The acceptance gate is ``compiled_speedup`` — the float32 compiled
-leg vs the eager batched leg — asserted >= 1.5x; ``compiled_f64_speedup``
-tracks the bit-identical replay against the same baseline.
+leg vs the eager batched leg — asserted >= 1.5x.
 
 Alongside the human-readable table the run emits
 ``benchmarks/results/BENCH_serve.json`` — the machine-readable BENCH
@@ -58,7 +56,10 @@ def run_bench(profile=None, save_report=None):
     table = format_table(
         ["Metric", "Value"],
         rows,
-        title="Serving throughput — uncached vs cached vs batched vs compiled (NYC)",
+        title=(
+            "Serving throughput — uncached vs cached vs batched vs compiled "
+            "float32 (NYC)"
+        ),
     )
     if save_report is not None:
         save_report("serve_throughput", table)

@@ -208,22 +208,23 @@ def run_bench(profile=None, save_report=None):
         max_events=MAX_EVENTS,
         rounds=ROUNDS,
     )
-    reports = comparison.pop("_reports")
+    comparison.pop("_reports")
 
+    # leg seconds are medians over the rounds, like the speedups
     rows = [
         [
-            report.leg,
-            str(report.events),
-            str(report.predictions),
-            f"{report.seconds:8.2f}",
-            f"{report.events_per_second:9.1f}",
-            f"{report.metrics['Recall@10']:.4f}",
-            f"{report.metrics['MRR']:.4f}",
+            leg["leg"],
+            str(leg["events"]),
+            str(leg["predictions"]),
+            f"{leg['seconds']:8.2f}",
+            f"{leg['events_per_second']:9.1f}",
+            f"{leg['metrics']['Recall@10']:.4f}",
+            f"{leg['metrics']['MRR']:.4f}",
         ]
-        for report in (
-            reports["baseline"],
-            reports["stream"],
-            reports["incremental"],
+        for leg in (
+            comparison["baseline"],
+            comparison["stream"],
+            comparison["incremental"],
         )
     ]
     table = format_table(

@@ -1,35 +1,40 @@
-"""Compiled inference tour: trace once, replay graph-free.
+"""Compiled inference tour: opt into float32 plans, trace once, replay graph-free.
 
-The serving hot path never needs gradients, yet eager inference pays
-the full autograd machinery per batch — Tensor wrappers, graph
-bookkeeping, fresh allocations for every op.  Captured inference plans
-remove all of it: the first batch of each shape bucket runs once under
-a recorder, and what it records — kernel, argument slots, output slot
-per op — replays on later batches as a flat loop over preallocated
-buffers.  No Tensors, no graph, no allocation churn.  Five stops:
+Serving defaults to float64, run eagerly through the model's batched
+``predict_batch``.  ``plan_dtype="float32"`` is the opt-in compiled
+configuration: the first batch of each shape bucket runs once under a
+recorder, and what it records — kernel, argument slots, output slot
+per op — replays on later batches as a flat float32 loop over
+preallocated buffers.  No Tensors, no graph, no allocation churn.
+Five stops:
 
-1. trace: the first ``predict_batch`` of a shape bucket records a plan
-   (watch the cache counters move);
+1. trace: the first ``predict_batch`` of a shape bucket records a
+   float32 plan (watch the cache counters move);
 2. what a plan is: steps, folded constants, buffer bytes, inputs —
    ``describe()`` on the cached plan;
-3. the guarantee: float64 replay is *bit-identical* to eager — same
-   ranked tiles, same ranked POIs, every sample;
+3. the oracle: the model-level plan API is dtype-generic, and a
+   float64 plan (``build_encode_plan(..., np.float64, ...)``) replays
+   *bit-identical* to eager — which is why float64 serving skips the
+   trace and runs eagerly;
 4. the payoff: float32 plans run the same steps end-to-end in float32
    with dtype-specialised kernels — compare samples/sec yourself;
 5. the lifecycle: new weights bump ``weights_version``, the next batch
-   re-traces; ``compile=False`` (CLI: ``repro serve --no-compile``)
-   opts out entirely.
+   re-traces; the float64 default and ``compile=False`` build no plan
+   cache at all.
 
-The same plans serve every tier: an ``InferenceServer`` serves through
-one plan cache (``GET /stats`` has a ``plans`` section) and cluster
-shard processes each carry their own.
+The same option serves every tier: ``ServerConfig(plan_dtype=
+"float32")`` (CLI: ``repro serve --plan-dtype float32``) gives an
+``InferenceServer`` one plan cache (``GET /stats`` has a ``plans``
+section), and cluster shard processes each carry their own.
 
-Runs in under a minute on a laptop CPU:
+Runs in seconds on a laptop CPU:
 
     python examples/compiled_inference.py
 """
 
 import time
+
+import numpy as np
 
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
@@ -54,12 +59,13 @@ def main() -> None:
     # 1. Trace once.  The first batch of this shape bucket runs eagerly
     #    under a recorder and verifies the captured plan against its own
     #    eager output before caching it; the second batch replays.
-    compiled = Predictor(model, compile=True)  # compile=True is the default
-    compiled.predict_batch(batch)
-    cache = compiled.plan_cache
+    f32 = Predictor(model, plan_dtype="float32")
+    f32.predict_batch(batch)
+    cache = f32.plan_cache
     print(f"after first batch:  traces={cache.traces} hits={cache.hits} misses={cache.misses}")
-    compiled.predict_batch(batch)
+    f32.predict_batch(batch)
     print(f"after second batch: traces={cache.traces} hits={cache.hits} misses={cache.misses}")
+    assert cache.traces == 1 and cache.hits == 1
 
     # 2. What got captured: a flat step list (kernels + buffer slots),
     #    with everything that does not depend on the request — weights,
@@ -74,26 +80,26 @@ def main() -> None:
         "feeds:", ", ".join(plan_info["inputs"][:4]), "...",
     )
 
-    # 3. The guarantee: float64 replay is bit-identical to eager.
+    # 3. The oracle: at the model level a plan can be traced at any
+    #    float dtype, and a float64 replay gives the eager ranked lists
+    #    bit for bit.  Serving float64 therefore gains nothing from a
+    #    plan, and runs eagerly.
     eager = Predictor(model, compile=False)
     want = eager.predict_batch(batch)
-    got = compiled.predict_batch(batch)
+    shared = model.compute_embeddings()
+    entry = model.build_encode_plan(batch, model.plan_bucket(batch), np.float64, *shared)
+    got = model.predict_batch(batch, *shared, plan=entry)
     assert all(
         g.ranked_tiles == w.ranked_tiles and g.ranked_pois == w.ranked_pois
         for g, w in zip(got, want)
     )
-    print("float64 replay: ranked lists bit-identical to eager on", len(batch), "samples")
+    print("float64 plan replay: ranked lists bit-identical to eager on", len(batch), "samples")
 
     # 4. The payoff: float32 end-to-end.  Constants are baked to
     #    float32 at trace time, feeds are cast on the way in, and the
     #    replay kernels use float32-safe fast paths (a clipped softmax,
     #    matmul row-sums).  Rankings may legitimately swap near-ties,
-    #    so float32 plans are tolerance-verified instead of bit-checked
-    #    — which is why float64 stays the correctness surface and
-    #    float32 the speed surface.
-    f32 = Predictor(model, compile=True, plan_dtype="float32")
-    f32.predict_batch(batch)  # warm: trace + buffer allocation
-
+    #    so float32 plans are tolerance-checked instead of bit-checked.
     def passes(predictor, n=20):
         start = time.perf_counter()
         for _ in range(n):
@@ -103,7 +109,7 @@ def main() -> None:
     eager_sps = passes(eager)
     f32_sps = passes(f32)
     print(
-        f"eager {eager_sps:7.0f} samples/s | compiled float32 {f32_sps:7.0f} "
+        f"eager float64 {eager_sps:7.0f} samples/s | compiled float32 {f32_sps:7.0f} "
         f"samples/s | {f32_sps / eager_sps:.2f}x"
     )
     heads_agree = sum(
@@ -117,8 +123,11 @@ def main() -> None:
     #    against the new parameters instead of replaying stale ones.
     model.load_state_dict(model.state_dict())
     before = cache.traces
-    compiled.predict_batch(batch)
+    f32.predict_batch(batch)
     print(f"after reload: re-traced {cache.traces - before} plan(s) for the new weights")
+    assert cache.traces == before + 1
+    assert Predictor(model).plan_cache is None  # the float64 default is eager
+    print("float64 default and compile=False: no plan cache, eager serving")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ queue to inference batch to the model's encode/rank stages.  Six stops:
    percentiles back (O(buckets) memory — no latency lists);
 2. a traced request: serve over real HTTP with ``trace_sample=1.0``
    and print the span tree ``GET /debug/slow`` returns — queue wait,
-   batch assembly, plan replay, two-step ranking, stage by stage;
+   batch assembly, encode, two-step ranking, stage by stage;
 3. the scrape: ``GET /metrics`` as Prometheus text — every counter the
    JSON ``/stats`` surface reports, plus bucketed latency series;
 4. the diff: two scrapes a few hundred requests apart turned into the
@@ -147,7 +147,6 @@ def main() -> None:
             line for line in first_scrape.splitlines()
             if line.startswith(("serve_request_requests_total",
                                 "scheduler_queue_depth",
-                                "plan_cache_hits_total",
                                 "serve_request_batch_latency_seconds_bucket"))
         ]
         for line in interesting[:8]:

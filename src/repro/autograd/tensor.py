@@ -182,7 +182,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         array = np.asarray(data)
-        if not np.issubdtype(array.dtype, np.floating):
+        if array.dtype.kind != "f":
             array = array.astype(get_default_dtype())
         self.data: np.ndarray = array
         self.requires_grad = bool(requires_grad)

@@ -117,16 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
                               dest="snapshot_interval",
                               help="events between state snapshots "
                                    "(with --persist; default: 1000)")
-    serve_parser.add_argument("--no-compile", action="store_true",
-                              dest="no_compile",
-                              help="escape hatch: serve eagerly instead of "
-                                   "through captured inference plans")
     serve_parser.add_argument("--plan-dtype", default="float64",
                               dest="plan_dtype",
                               choices=("float64", "float32"),
-                              help="replay precision of compiled plans "
-                                   "(float64 is bit-identical to eager; "
-                                   "default: float64)")
+                              help="serving precision: float64 serves "
+                                   "eagerly, float32 through compiled "
+                                   "float32 plans (default: float64)")
     serve_parser.add_argument("--trace-sample", type=float, default=0.01,
                               dest="trace_sample", metavar="RATE",
                               help="fraction of requests to trace end-to-end "
@@ -218,7 +214,6 @@ def _server_config(args):
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
         max_queue=args.queue_size,
-        compile=not args.no_compile,
         plan_dtype=args.plan_dtype,
         trace_sample=args.trace_sample,
         quality_window=getattr(args, "quality_window", 3600.0),

@@ -33,12 +33,13 @@ Entry points
   ``reload_json`` request surface; request/response codecs are
   :func:`sample_from_json` / :func:`result_to_json`;
 * :func:`compare_throughput` — uncached vs cached (batches of one) vs
-  batched vs compiled serving microbench (the batched leg reports
-  latency percentiles);
-* :class:`PlanCache` — compiled inference plans (trace-once, graph-free
-  replay) keyed ``(weights_version, dtype, shape bucket)``, one per
-  server; ``Predictor(compile=False)`` / ``ServerConfig(compile=
-  False)`` are the eager escape hatches.
+  batched vs compiled float32 serving microbench (the batched leg
+  reports latency percentiles);
+* :class:`PlanCache` — compiled float32 inference plans (trace-once,
+  graph-free replay) keyed ``(weights_version, shape bucket)``, one
+  per server.  float64, the default ``plan_dtype`` of
+  :class:`Predictor` and :class:`ServerConfig`, is served eagerly and
+  builds none; ``plan_dtype="float32"`` opts into plans.
 """
 
 from .checkpoint import (

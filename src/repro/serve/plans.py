@@ -1,13 +1,20 @@
-"""Plan cache: compiled inference plans keyed by shape bucket.
+"""Plan cache: compiled float32 inference plans keyed by shape bucket.
 
 The serving glue for :mod:`repro.autograd.trace`: a thread-safe,
 LRU-bounded cache of :class:`~repro.core.model.EncodePlan` entries
-keyed ``(weights_version, dtype, shape_bucket)``.  An
+keyed ``(weights_version, shape_bucket)``.  It backs the opt-in
+float32 serving configuration (``plan_dtype="float32"``): an
 :class:`~repro.serve.server.InferenceServer` builds one from its
 config and hands it to its :class:`~repro.serve.predictor.Predictor`.
 An entry is what the model's ``predict_batch`` takes as ``plan=``: it
 replays the plan in place of the eager encode, over the same feed prep
 and into the same ranking tail.
+
+float64, the serving default, is served eagerly and builds no cache:
+float64 plans gave the eager ranked lists bit for bit but lost to
+eager end to end, tracing each cold bucket inline and holding every
+live plan's buffers.  The model-level plan API stays dtype-generic,
+and float64 replay remains the tracer's bit-exact test oracle.
 
 Fallback ladder, never an error:
 
@@ -53,23 +60,27 @@ def supports_plans(model) -> bool:
 
 
 class PlanCache:
-    """Thread-safe LRU of compiled encode plans for one model scope.
+    """Thread-safe LRU of compiled float32 encode plans for one model scope.
 
-    ``dtype`` picks the replay precision for every plan this cache
-    builds: ``float64`` replays are bit-identical to eager, ``float32``
-    halves bandwidth within the documented tolerance.  ``maxsize``
-    bounds the number of *live* plans (buckets beyond it re-trace on
-    return — shape bucketing keeps the working set tiny in practice).
+    Every plan replays in float32, within the documented tolerance of
+    eager; any other ``dtype`` raises ``ValueError`` (float64 is served
+    eagerly, without a cache).  ``maxsize`` bounds the number of *live*
+    plans (buckets beyond it re-trace on return).
     """
 
     def __init__(
         self,
         maxsize: int = 32,
-        dtype="float64",
+        dtype="float32",
         registry: Optional[MetricsRegistry] = None,
     ):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
+        if np.dtype(dtype) != np.float32:
+            raise ValueError(
+                f"PlanCache builds float32 plans only, not {np.dtype(dtype)}; "
+                "float64 is served eagerly"
+            )
         self.maxsize = maxsize
         self.dtype = np.dtype(dtype)
         self._lock = threading.RLock()
@@ -154,7 +165,7 @@ class PlanCache:
         if version is None:
             version = model.weights_version()
         bucket = model.plan_bucket(samples)
-        key = (version, str(self.dtype), bucket)
+        key = (version, bucket)
         with self._lock:
             if self._version is None or version > self._version:
                 # new weights generation: drop the old plans eagerly so
@@ -224,7 +235,7 @@ class PlanCache:
                 "fallbacks": self.fallbacks,
             }
         plans = []
-        for (version, _dtype, bucket), entry in entries:
+        for (version, bucket), entry in entries:
             if entry is _EAGER:
                 plans.append(
                     {"bucket": list(bucket), "weights_version": version, "eager": True}

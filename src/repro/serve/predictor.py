@@ -21,6 +21,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..autograd import no_grad
 from ..data.trajectory import PredictionSample, Trajectory, Visit
 from ..obs import MetricsRegistry
@@ -178,15 +180,16 @@ class Predictor:
     deliberate, lasting adoption for long-lived serving; pass ``None``
     for throwaway measurement facades.
 
-    ``compile=True`` (the default) serves batches through captured
-    inference plans when the model supports them (see
-    :mod:`repro.serve.plans`): the first batch of each shape bucket is
-    traced, later ones replay graph-free.  ``plan_dtype`` picks the
-    replay precision (``float64`` is bit-identical to eager);
+    ``plan_dtype`` picks the serving precision.  ``float64`` (the
+    default) is served eagerly through the model's ``predict_batch``
+    and builds no plan cache.  ``float32`` is the opt-in compiled
+    configuration: when the model supports plans (see
+    :mod:`repro.serve.plans`), the first batch of each shape bucket is
+    traced into a float32 plan and later ones replay it graph-free;
     ``plan_cache`` hands in a cache built elsewhere (an
     :class:`~repro.serve.server.InferenceServer` builds one from its
-    config, on its registry).  ``compile=False`` is the escape hatch —
-    pure eager, no tracing.
+    config, on its registry).  ``compile=False`` serves eagerly
+    whatever the dtype.
     """
 
     def __init__(
@@ -214,9 +217,9 @@ class Predictor:
                 self.graph_cache = cache
         self.plan_cache: Optional[PlanCache] = None
         if compile and supports_plans(model):
-            self.plan_cache = (
-                plan_cache if plan_cache is not None else PlanCache(dtype=plan_dtype)
-            )
+            if plan_cache is None and np.dtype(plan_dtype) != np.float64:
+                plan_cache = PlanCache(dtype=plan_dtype)
+            self.plan_cache = plan_cache
 
     @classmethod
     def from_checkpoint(cls, path, dataset=None, **kwargs) -> "Predictor":
@@ -283,12 +286,11 @@ class Predictor:
 
         Shared embeddings come from the cache; the model's
         ``predict_batch`` encodes the whole batch at once (each result
-        equals that of the sample's batch of one).  With compilation
-        on, the plan cache's entry for the batch's shape bucket (traced
-        first if cold) goes to ``predict_batch`` as ``plan=``, which
-        replays it in place of the eager encode — ranked lists are
-        bit-identical for float64 plans, and any bucket the tracer
-        cannot capture falls back to eager automatically.  Inference
+        equals that of the sample's batch of one).  With a float32 plan
+        cache, the entry for the batch's shape bucket (traced first if
+        cold) goes to ``predict_batch`` as ``plan=``, which replays it
+        in place of the eager encode; any bucket the tracer cannot
+        capture falls back to eager automatically.  Inference
         runs under ``no_grad``, where dropout is the identity, so the
         model's train/eval mode never changes the result and a
         mid-training evaluation hook can wrap the live model safely.
@@ -349,7 +351,7 @@ def compare_throughput(
     repeats: int = 1,
     batch_size: int = 16,
 ) -> Dict[str, float]:
-    """Samples/sec: uncached vs cached vs batched vs compiled.
+    """Samples/sec: uncached vs cached vs batched vs compiled float32.
 
     Legs, slowest to fastest:
 
@@ -360,15 +362,12 @@ def compare_throughput(
     * ``batched`` — the :class:`Predictor` facade driving the model's
       eager ``predict_batch`` in chunks of ``batch_size``, with
       per-batch latencies recorded for p50/p95/p99;
-    * ``compiled`` / ``compiled_f32`` — the same facade with plan
-      compilation on; present only when the model supports plans.
-      ``compiled`` replays float64 plans — the configuration whose
-      ranked lists are bit-identical to eager — while ``compiled_f32``
-      is the *serving* configuration of the compiled path: float32
-      plans end-to-end (documented tolerance, half the bandwidth,
-      dtype-specialised replay kernels).  Each leg's first pass over
-      the samples warms the plan/knowledge caches (trace cost is
-      reported separately as ``{leg}_warmup_seconds``).
+    * ``compiled_f32`` — the same facade serving float32 plans
+      end-to-end (documented tolerance, half the bandwidth,
+      dtype-specialised replay kernels); present only when the model
+      supports plans.  Its first pass over the samples warms the
+      plan/knowledge caches (trace cost is reported separately as
+      ``compiled_f32_warmup_seconds``).
 
     The batched and compiled legs are timed as full passes over the
     sample list, *interleaved round-robin* across ``repeats`` rounds,
@@ -378,10 +377,8 @@ def compare_throughput(
     the reported speedups are leg ratios rather than noise.
 
     ``compiled_speedup`` is the gate metric: the float32 compiled leg
-    (the serving configuration) vs the eager batched leg.
-    ``compiled_f64_speedup`` tracks the bit-identical float64 replay
-    against the same baseline.  Both are computed as the *median of
-    per-round ratios* — each round times the legs back to back, so a
+    vs the eager batched leg, computed as the *median of per-round
+    ratios* — each round times the legs back to back, so a
     contention burst inflates both passes of the pair and cancels in
     their ratio, where a ratio of independent leg medians would not.
     Every leg runs under ``no_grad``, so the model's train/eval mode
@@ -409,15 +406,12 @@ def compare_throughput(
     legs: List[Tuple[str, Predictor]] = [("batched", predictor)]
     compiled: Dict[str, float] = {}
     if supports_plans(model):
-        for leg, dtype in (("compiled", "float64"), ("compiled_f32", "float32")):
-            legs.append(
-                (
-                    leg,
-                    Predictor(
-                        model, graph_cache_size=None, compile=True, plan_dtype=dtype
-                    ),
-                )
+        legs.append(
+            (
+                "compiled_f32",
+                Predictor(model, graph_cache_size=None, plan_dtype="float32"),
             )
+        )
 
     def one_pass(runner: Predictor) -> None:
         for lo in range(0, len(samples), batch_size):
@@ -457,16 +451,15 @@ def compare_throughput(
 
     batched_seconds = leg_seconds("batched")
     count = len(samples) * repeats
-    speedups: Dict[str, float] = {}
     for leg, runner in legs[1:]:
         seconds = leg_seconds(leg)
         compiled[f"{leg}_seconds"] = seconds
         compiled[f"{leg}_sps"] = count / seconds if seconds > 0 else float("inf")
-        speedups[leg] = paired_speedup(leg)
         cache = runner.plan_cache
         compiled[f"{leg}_plans"] = float(len(cache))
         compiled[f"{leg}_plan_hits"] = float(cache.hits)
         compiled[f"{leg}_plan_misses"] = float(cache.misses)
+        compiled["compiled_speedup"] = paired_speedup(leg)
 
     report = {
         "samples": float(count),
@@ -482,9 +475,5 @@ def compare_throughput(
         ),
     }
     report.update(compiled)
-    if report.get("compiled_seconds"):
-        report["compiled_f64_speedup"] = speedups["compiled"]
-    if report.get("compiled_f32_seconds"):
-        report["compiled_speedup"] = speedups["compiled_f32"]
     report.update(predictor.stats.latency_percentiles())
     return report

@@ -102,12 +102,12 @@ class ServerConfig:
     ``request_timeout_s`` caps how long a blocking ``predict``/HTTP
     call waits for its future.
 
-    ``compile`` turns captured inference plans on (the default; see
-    :mod:`repro.serve.plans`).  ``plan_dtype`` picks the replay
-    precision (``float64`` keeps ranked lists bit-identical to eager)
-    and ``plan_cache_size`` bounds the number of live plans.
-    ``compile=False`` (CLI: ``repro serve --no-compile``) is the
-    pure-eager escape hatch.
+    ``plan_dtype`` picks the serving precision: ``float64`` (the
+    default) serves eagerly, with no plan cache; ``float32`` serves
+    through compiled float32 plans (see :mod:`repro.serve.plans`), at
+    most ``plan_cache_size`` of them live.  Any other dtype is
+    rejected here, so a cluster never ships an unusable config to its
+    shards.
 
     ``trace_sample`` is the request-tracing sampling rate (0..1).  The
     default 0 keeps the hot path allocation-free — no Trace or Span
@@ -126,7 +126,6 @@ class ServerConfig:
     max_queue: int = 256
     graph_cache_size: Optional[int] = 256
     request_timeout_s: float = 60.0
-    compile: bool = True
     plan_dtype: str = "float64"
     plan_cache_size: int = 32
     trace_sample: float = 0.0
@@ -135,6 +134,10 @@ class ServerConfig:
     quality_topk: int = 20
 
     def __post_init__(self):
+        if self.plan_dtype not in ("float64", "float32"):
+            raise ValueError(
+                f"plan_dtype must be 'float64' or 'float32', not {self.plan_dtype!r}"
+            )
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ValueError("trace_sample must be within [0, 1]")
         if self.slow_ring_size < 1:
@@ -179,17 +182,14 @@ class InferenceServer:
             registry=self.registry,
         )
         self.plan_cache: Optional[PlanCache] = None
-        if self.config.compile and supports_plans(model):
+        if self.config.plan_dtype == "float32" and supports_plans(model):
             self.plan_cache = PlanCache(
-                maxsize=self.config.plan_cache_size,
-                dtype=self.config.plan_dtype,
-                registry=self.registry,
+                maxsize=self.config.plan_cache_size, registry=self.registry
             )
         # Adopts the model: its QR-P graph cache becomes this LRU.
         self.predictor = Predictor(
             model,
             graph_cache_size=self.config.graph_cache_size,
-            compile=self.plan_cache is not None,
             plan_cache=self.plan_cache,
             registry=self.registry,
         )

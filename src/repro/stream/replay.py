@@ -26,7 +26,7 @@ recompute the per-user QR-P graph on every single request.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.trajectory import (
@@ -334,8 +334,11 @@ def compare_replay(
     speedup is the **median of per-round paired ratios** — the serve
     bench's idiom: a contention burst inflates both passes of a round
     and cancels in their ratio, where a ratio of independent leg totals
-    would not.  The reported leg dicts come from the first round (the
-    one that keeps per-prediction results for the identity checks).
+    would not.  Each leg dict reports the median of its rounds as
+    ``seconds`` (and the rates derived from it) plus every round's time
+    as ``round_seconds``; its counts and metrics, and the ``_reports``
+    with per-prediction results for the identity checks, come from the
+    first round (every round makes the same predictions).
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -388,6 +391,11 @@ def compare_replay(
         ratios = [s / f for s, f in zip(seconds[slow], seconds[fast]) if f > 0]
         return _median(ratios) if ratios else float("inf")
 
+    def leg_dict(name: str) -> Dict:
+        median = replace(first[name], seconds=_median(seconds[name])).as_dict()
+        median["round_seconds"] = [round(value, 4) for value in seconds[name]]
+        return median
+
     ranked = {
         name: [r.result.ranked_pois for r in first[name].records]
         for name in leg_names
@@ -396,9 +404,7 @@ def compare_replay(
         "events": len(events),
         "batch_size": batch_size,
         "rounds": rounds,
-        "baseline": first["baseline"].as_dict(),
-        "stream": first["stream"].as_dict(),
-        "incremental": first["incremental"].as_dict(),
+        **{name: leg_dict(name) for name in leg_names},
         "speedup": round(paired_ratio("baseline", "stream"), 4),
         "incremental_speedup": round(paired_ratio("baseline", "incremental"), 4),
         "incremental_vs_stream": round(paired_ratio("stream", "incremental"), 4),

@@ -812,59 +812,3 @@ class TestServeShutdown:
             reader.join(5.0)
             proc.stdout.close()
         assert list((persist / snapshot_dir).glob("snapshot-*.npz"))
-
-
-# ----------------------------------------------------------------------
-# compiled-plan path through the cluster tier
-# ----------------------------------------------------------------------
-class TestCompiledClusterIdentity:
-    """Shard workers inherit the compiled serving path; ranked lists are
-    gated bit-identical against an eager (``compile=False``) cluster,
-    including across a SIGKILL + recovery of a compiled shard."""
-
-    @pytest.mark.slow
-    def test_compiled_matches_eager_through_kill_and_recover(
-        self, checkpoint, event_tape, tmp_path
-    ):
-        config = small_cluster_config(snapshot_interval=40)
-        eager_config = small_cluster_config(
-            snapshot_interval=40,
-            server=ServerConfig(
-                max_wait_ms=2.0, request_timeout_s=30.0, compile=False
-            ),
-        )
-        compiled = ClusterRouter(checkpoint, tmp_path / "compiled", config=config)
-        eager = ClusterRouter(checkpoint, tmp_path / "eager", config=eager_config)
-        compiled.start()
-        eager.start()
-        try:
-            assert all(shard.spec.server.compile for shard in compiled.shards)
-            assert not any(shard.spec.server.compile for shard in eager.shards)
-
-            half = len(event_tape) // 2
-            compiled.stream_events(event_tape[:half])
-            eager.stream_events(event_tape[:half])
-
-            users = sorted(int(u) for u in eager.user_versions())
-            for user in users:
-                got = compiled.predict_user(user, k=10)
-                want = eager.predict_user(user, k=10)
-                assert got["ok"] and want["ok"]
-                assert got["result"]["top_pois"] == want["result"]["top_pois"]
-
-            # crash a compiled shard mid-stream; the recovered worker
-            # re-traces its plans and must still match the eager tier
-            sigkill(compiled.shards[1])
-            assert compiled.restart_shard(1)["ok"]
-            compiled.stream_events(event_tape[half:])
-            eager.stream_events(event_tape[half:])
-
-            users = sorted(int(u) for u in eager.user_versions())
-            for user in users:
-                got = compiled.predict_user(user, k=10)
-                want = eager.predict_user(user, k=10)
-                assert got["ok"] and want["ok"]
-                assert got["result"]["top_pois"] == want["result"]["top_pois"]
-        finally:
-            eager.stop()
-            compiled.stop()

@@ -1,12 +1,15 @@
-"""Compiled-vs-eager identity for the serving hot path.
+"""Plan replay vs eager, and the float32 plan cache.
 
-The load-bearing guarantee of the compiled-plan refactor: float64 plan
-replay produces ranked lists *bit-identical* to the eager graph on
-every surface — direct ``predict_batch``, the stream replay harness,
-and (in ``test_serve_async.py`` / ``test_cluster.py``) the async server
-and cluster tiers.  Also covers shape bucketing, the plan cache's
-hit/miss/fallback ladder, reload-driven re-trace, and the
-``compile=False`` escape hatch.
+float64 serving is eager (no serving path traces a float64 plan), but
+the model-level plan API stays dtype-generic, and float64 replay is
+its bit-exact oracle: ``build_encode_plan(..., np.float64, ...)`` plus
+``predict_batch(plan=...)`` must produce ranked lists *bit-identical*
+to the eager encode, on edge-case batches, at bucket-padding edges,
+across batches with different masks in one bucket, and over a stream
+replay.  The plan cache (float32 only) is checked for its
+hit/miss/fallback ladder, reload-driven re-trace and stats against a
+second float32 run; the serving surfaces are checked to build no plan
+cache at the default float64.
 """
 
 import numpy as np
@@ -14,10 +17,20 @@ import pytest
 
 from repro.autograd import Tensor, TraceError
 from repro.baselines import MarkovChain
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
 from repro.data.trajectory import PredictionSample, Trajectory, Visit
-from repro.serve import PlanCache, Predictor, compare_throughput, supports_plans
+from repro.experiments import make_predictor
+from repro.serve import (
+    InferenceServer,
+    PlanCache,
+    Predictor,
+    compare_throughput,
+    sample_from_json,
+    save_checkpoint,
+    supports_plans,
+)
 from repro.stream import events_from_checkins, prequential_replay
 from repro.utils import spawn
 
@@ -85,6 +98,33 @@ def _assert_identical(compiled, eager):
         assert c.poi_rank == e.poi_rank
 
 
+def _float64_plan(model, batch, shared):
+    """A float64 plan traced on ``batch`` at its own shape bucket."""
+    return model.build_encode_plan(
+        batch, model.plan_bucket(batch), np.float64, *shared
+    )
+
+
+class _Float64Plans:
+    """A ``Predictor`` plan source tracing float64 plans, one per bucket.
+
+    The serving tiers never replay float64; this stands in for a plan
+    cache so a replay through the ``Predictor`` facade can be checked
+    bit for bit against eager.
+    """
+
+    def __init__(self):
+        self.plans = {}
+
+    def entry_for(self, model, samples, tile_embeddings, poi_embeddings, version=None):
+        key = (version, model.plan_bucket(samples))
+        if key not in self.plans:
+            self.plans[key] = model.build_encode_plan(
+                samples, key[1], np.float64, tile_embeddings, poi_embeddings
+            )
+        return self.plans[key]
+
+
 # ----------------------------------------------------------------------
 # shape bucketing
 # ----------------------------------------------------------------------
@@ -135,40 +175,54 @@ class TestPlanBucket:
 
 
 # ----------------------------------------------------------------------
-# compiled vs eager: direct predict_batch
+# float64 plan replay vs eager: direct predict_batch
 # ----------------------------------------------------------------------
 class TestCompiledIdentity:
     def test_float64_bit_identical_on_edge_cases(self, tiny, model):
         _, splits = tiny
         batch = _edge_case_batch(splits)
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
-        _assert_identical(compiled.predict_batch(batch), eager.predict_batch(batch))
-        assert compiled.plan_cache is not None
-        assert compiled.plan_cache.traces >= 1
+        shared = model.compute_embeddings()
+        entry = _float64_plan(model, batch, shared)
+        assert entry.dtype == np.float64
+        _assert_identical(
+            model.predict_batch(batch, *shared, plan=entry),
+            model.predict_batch(batch, *shared),
+        )
 
     def test_replay_pass_still_identical(self, tiny, model):
-        """Second pass hits the cached plan (and the knowledge cache)."""
+        """A second replay of one plan reads the knowledge cache."""
         _, splits = tiny
         batch = _edge_case_batch(splits)
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
-        compiled.predict_batch(batch)  # warm: trace + knowledge-cache fill
-        before = compiled.plan_cache.hits
-        _assert_identical(compiled.predict_batch(batch), eager.predict_batch(batch))
-        assert compiled.plan_cache.hits > before
+        shared = model.compute_embeddings()
+        entry = _float64_plan(model, batch, shared)
+        model.predict_batch(batch, *shared, plan=entry)  # fills knowledge rows
+        hits = model._knowledge_cache.hits
+        _assert_identical(
+            model.predict_batch(batch, *shared, plan=entry),
+            model.predict_batch(batch, *shared),
+        )
+        assert model._knowledge_cache.hits > hits
 
     def test_bucket_padding_edges(self, tiny, model):
-        """Batch sizes straddling the bucket boundaries stay identical."""
+        """Batch sizes straddling the bucket boundaries stay identical.
+
+        One plan per bucket, traced on the first batch that meets it:
+        later sizes in the same bucket replay it with more padding rows.
+        """
         _, splits = tiny
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
+        shared = model.compute_embeddings()
+        plans = {}
         pool = list(splits.test[:16])
         for size in (1, 2, 7, 8, 9, 16):
             batch = pool[:size]
+            bucket = model.plan_bucket(batch)
+            if bucket not in plans:
+                plans[bucket] = _float64_plan(model, batch, shared)
             _assert_identical(
-                compiled.predict_batch(batch), eager.predict_batch(batch)
+                model.predict_batch(batch, *shared, plan=plans[bucket]),
+                model.predict_batch(batch, *shared),
             )
+        assert len(plans) < 6  # some size replayed another size's plan
 
     def test_replay_with_different_masks_same_bucket(self, tiny, model):
         """One plan, two batches whose padding masks differ.
@@ -218,22 +272,22 @@ class TestCompiledIdentity:
         ]
         assert model.plan_bucket(first) == model.plan_bucket(second)
         assert model._knowledge_counts(second[0]) != model._knowledge_counts(first[0])
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
-        compiled.predict_batch(first)  # traces the bucket's plan
-        before = compiled.plan_cache.traces
-        _assert_identical(compiled.predict_batch(second), eager.predict_batch(second))
-        assert compiled.plan_cache.traces == before  # replayed, not re-traced
+        shared = model.compute_embeddings()
+        entry = _float64_plan(model, first, shared)  # traced on the first batch
+        model.predict_batch(first, *shared, plan=entry)
+        _assert_identical(
+            model.predict_batch(second, *shared, plan=entry),
+            model.predict_batch(second, *shared),
+        )
 
     def test_float32_within_tolerance(self, tiny, model):
         _, splits = tiny
         batch = _edge_case_batch(splits)
         eager = Predictor(model, graph_cache_size=None, compile=False)
-        f32 = Predictor(
-            model, graph_cache_size=None, compile=True, plan_dtype="float32"
-        )
+        f32 = Predictor(model, graph_cache_size=None, plan_dtype="float32")
         got = f32.predict_batch(batch)
         want = eager.predict_batch(batch)
+        assert f32.plan_cache.traces >= 1
         # float32 replay may legitimately swap near-ties deep in the
         # list; the head of the ranking must survive the down-cast.
         agree = sum(g.ranked_pois[0] == w.ranked_pois[0] for g, w in zip(got, want))
@@ -244,10 +298,11 @@ class TestCompiledIdentity:
     def test_results_do_not_leak_padding(self, tiny, model):
         """A 3-sample batch in a 4-wide bucket returns exactly 3 results."""
         _, splits = tiny
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
         batch = list(splits.test[:3])
-        results = compiled.predict_batch(batch)
-        assert len(results) == 3
+        shared = model.compute_embeddings()
+        entry = _float64_plan(model, batch, shared)
+        assert entry.bucket[0] == 4
+        assert len(model.predict_batch(batch, *shared, plan=entry)) == 3
 
 
 class TestKnowledgeCacheScope:
@@ -281,36 +336,47 @@ class TestKnowledgeCacheScope:
         assert float(model.loss_batch(batch, *shared).data) == want_loss
         assert model._knowledge_cache.hits == hits
 
-        # the poisoned rows are live: a compiled predictor replays them
-        Predictor(model, graph_cache_size=None, compile=True).predict_batch(batch)
+        # the poisoned rows are live: a plan replay reads them
+        model.predict_batch(batch, *shared, plan=_float64_plan(model, batch, shared))
         assert model._knowledge_cache.hits >= hits + len({s.history_key for s in batch})
 
 
 # ----------------------------------------------------------------------
-# plan cache behaviour through the Predictor facade
+# float32 plan cache behaviour through the Predictor facade
 # ----------------------------------------------------------------------
+def _f32(model, **kwargs):
+    return Predictor(model, graph_cache_size=None, plan_dtype="float32", **kwargs)
+
+
 class TestPlanCacheBehaviour:
     def test_compile_false_escape_hatch(self, model):
         assert Predictor(model, graph_cache_size=None, compile=False).plan_cache is None
+        assert _f32(model, compile=False).plan_cache is None
+
+    def test_float64_cache_rejected(self, model):
+        """Plans are float32 only: float64 is served eagerly."""
+        with pytest.raises(ValueError, match="float32"):
+            PlanCache(dtype="float64")
+        with pytest.raises(ValueError):
+            Predictor(model, graph_cache_size=None, plan_dtype="int8")
 
     def test_baselines_served_eagerly(self):
         mc = MarkovChain(num_pois=10)
         assert not supports_plans(mc)
-        assert Predictor(mc, graph_cache_size=None, compile=True).plan_cache is None
+        assert _f32(mc).plan_cache is None
 
     def test_reload_invalidates_and_retraces(self, tiny):
         dataset, splits = tiny
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
         model.eval()
         batch = list(splits.test[:4])
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
+        compiled = _f32(model)
         compiled.predict_batch(batch)
         assert compiled.plan_cache.traces == 1
         version = model.weights_version()
         model.load_state_dict(model.state_dict())  # hot reload, same weights
         assert model.weights_version() != version
-        _assert_identical(compiled.predict_batch(batch), eager.predict_batch(batch))
+        _assert_identical(compiled.predict_batch(batch), _f32(model).predict_batch(batch))
         assert compiled.plan_cache.traces == 2  # stale plan dropped, re-traced
 
     def test_reload_during_build_is_not_cached(self, tiny, monkeypatch):
@@ -326,8 +392,7 @@ class TestPlanCacheBehaviour:
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
         model.eval()
         batch = list(splits.test[:4])
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
+        compiled = _f32(model)
         orig_build = model.build_encode_plan
 
         def reload_lands_mid_build(*args, **kwargs):
@@ -340,17 +405,18 @@ class TestPlanCacheBehaviour:
         assert compiled.plan_cache.traces == 1
         assert len(compiled.plan_cache) == 0  # built, served, discarded
         monkeypatch.setattr(model, "build_encode_plan", orig_build)
-        _assert_identical(compiled.predict_batch(batch), eager.predict_batch(batch))
+        want = _f32(model).predict_batch(batch)
+        _assert_identical(compiled.predict_batch(batch), want)
         assert compiled.plan_cache.traces == 2  # clean re-trace, now cached
         assert len(compiled.plan_cache) == 1
-        _assert_identical(compiled.predict_batch(batch), eager.predict_batch(batch))
+        _assert_identical(compiled.predict_batch(batch), want)
         assert compiled.plan_cache.hits == 1
 
     def test_trace_failure_falls_back_to_eager(self, tiny, model, monkeypatch):
         _, splits = tiny
         batch = list(splits.test[:4])
         eager = Predictor(model, graph_cache_size=None, compile=False)
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
+        compiled = _f32(model)
 
         def boom(*args, **kwargs):
             raise TraceError("op 'untraceable' has no replay kernel")
@@ -368,7 +434,7 @@ class TestPlanCacheBehaviour:
         """Two predictors handed one cache share it: one trace, then hits."""
         _, splits = tiny
         batch = list(splits.test[:4])
-        cache = PlanCache(dtype="float64")
+        cache = PlanCache()
         a = Predictor(model, graph_cache_size=None, plan_cache=cache)
         b = Predictor(model, graph_cache_size=None, plan_cache=cache)
         first = a.predict_batch(batch)
@@ -378,11 +444,11 @@ class TestPlanCacheBehaviour:
 
     def test_stats_shape(self, tiny, model):
         _, splits = tiny
-        compiled = Predictor(model, graph_cache_size=None, compile=True)
+        compiled = _f32(model)
         compiled.predict_batch(list(splits.test[:4]))
         stats = compiled.plan_cache.stats()
         assert stats["enabled"] is True
-        assert stats["dtype"] == "float64"
+        assert stats["dtype"] == "float32"
         assert stats["traces"] == 1 and stats["misses"] == 1
         (entry,) = stats["plans"]
         assert entry["bucket"][0] == 4
@@ -391,11 +457,69 @@ class TestPlanCacheBehaviour:
         assert entry["runs"] >= 1
 
 
+class TestEagerFloat64Serving:
+    def test_serving_surfaces_build_no_plan_cache(self, tiny, tmp_path, monkeypatch):
+        """At the default float64, every serving surface is eager.
+
+        ``Predictor(model)``, ``make_predictor`` and ``InferenceServer``
+        build no plan cache, never trace a plan, and answer exactly as
+        ``compile=False`` does; so does a cluster shard process at the
+        ``SHARD_SERVER`` defaults (its ``/stats`` plans section).
+        """
+        dataset, splits = tiny
+        model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
+        model.eval()
+        checkpoint = save_checkpoint(model, tmp_path / "tiny.npz", dataset=dataset)
+        payloads = [
+            {
+                "user_id": s.user_id,
+                "prefix": [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in s.prefix],
+                "history": [
+                    [{"poi_id": v.poi_id, "timestamp": v.timestamp} for v in t.visits]
+                    for t in s.history
+                ],
+            }
+            for s in splits.test[:8]
+        ]
+        batch = [sample_from_json(p) for p in payloads]
+        want = [
+            r.top_k(10)
+            for r in Predictor(model, graph_cache_size=None, compile=False).predict_batch(batch)
+        ]
+        traces = []
+        build = TSPNRA.build_encode_plan
+
+        def counted_build(self, *args, **kwargs):
+            traces.append(len(args[0]))
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(TSPNRA, "build_encode_plan", counted_build)
+
+        for predictor in (Predictor(model), make_predictor(model)):
+            assert predictor.plan_cache is None
+            assert [r.top_k(10) for r in predictor.predict_batch(batch)] == want
+
+        with InferenceServer(model) as server:
+            assert server.plan_cache is None
+            assert server.stats()["plans"] == {"enabled": False}
+            assert [server.predict(s, timeout=30.0).top_k(10) for s in batch] == want
+
+        assert traces == []
+
+        config = ClusterConfig(num_shards=1, auto_restart=False)
+        with ClusterRouter(checkpoint, tmp_path / "cluster", config=config) as router:
+            replies = [router.predict(p) for p in payloads]
+            (shard,) = router.stats()["cluster"]["shards"]
+        assert shard["plans"] == {"enabled": False}
+        assert [reply["result"]["top_pois"] for reply in replies] == want
+
+
 # ----------------------------------------------------------------------
 # stream replay surface
 # ----------------------------------------------------------------------
 class TestStreamReplayIdentity:
     def test_prequential_replay_identical(self, tiny):
+        """float64 plans replayed over a stream, histories growing."""
         dataset, _ = tiny
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
         model.eval()
@@ -406,12 +530,14 @@ class TestStreamReplayIdentity:
             batch_size=16,
             keep_results=True,
         )
+        plans = _Float64Plans()
         compiled = prequential_replay(
-            Predictor(model, graph_cache_size=None, compile=True),
+            Predictor(model, graph_cache_size=None, plan_cache=plans),
             events,
             batch_size=16,
             keep_results=True,
         )
+        assert plans.plans
         assert compiled.predictions == eager.predictions
         assert compiled.metrics == eager.metrics
         for c, e in zip(compiled.records, eager.records):
@@ -426,16 +552,18 @@ class TestCompareThroughput:
     def test_compiled_legs_reported(self, tiny, model):
         _, splits = tiny
         report = compare_throughput(model, splits.test[:12], repeats=1, batch_size=8)
-        for leg in ("compiled", "compiled_f32"):
-            assert report[f"{leg}_sps"] > 0
-            assert report[f"{leg}_warmup_seconds"] >= 0
-            assert report[f"{leg}_plans"] >= 1
-        assert "compiled_speedup" in report
+        assert report["compiled_f32_sps"] > 0
+        assert report["compiled_f32_warmup_seconds"] >= 0
+        assert report["compiled_f32_plans"] >= 1
+        assert report["compiled_speedup"] > 0
+        # no float64 leg: float64 is served eagerly (the batched leg)
+        assert not any(key.startswith("compiled_f64") for key in report)
+        assert "compiled_sps" not in report
 
     def test_baseline_report_has_no_compiled_legs(self, tiny):
         _, splits = tiny
         mc = MarkovChain(400)
         mc.fit(splits.train[:50])
         report = compare_throughput(mc, splits.test[:8], repeats=1, batch_size=8)
-        assert "compiled_sps" not in report
+        assert not any(key.startswith("compiled") for key in report)
         assert report["batched_sps"] > 0

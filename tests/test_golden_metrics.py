@@ -69,8 +69,8 @@ def test_quick_profile_metrics_match_golden(trained):
 def test_float32_compiled_plans_within_golden_tolerance(trained):
     """Float32 plan replay stays inside the documented metric envelope.
 
-    Float64 plans are bit-identical to eager and therefore covered by
-    the exact 1e-9 gate above; the float32 serving configuration is
+    float64 is served eagerly and therefore covered by the exact 1e-9
+    gate above; the opt-in float32 plan configuration is
     allowed to swap near-ties, so its Recall@K / NDCG@K / MRR must
     land within ``FLOAT32_METRIC_TOLERANCE`` of the golden fixture.
     """

@@ -480,7 +480,7 @@ class TestPackedServeIdentity:
     ):
         shared = model.compute_embeddings()
         expected = [model.predict(s, *shared) for s in mixed_batch]
-        config = ServerConfig(max_batch_size=8, max_wait_ms=2, compile=False)
+        config = ServerConfig(max_batch_size=8, max_wait_ms=2)
         with InferenceServer(model, config=config, dataset=tiny_dataset) as server:
             results = [None] * len(mixed_batch)
             errors = []

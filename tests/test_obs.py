@@ -459,7 +459,6 @@ class TestServeTracing:
         assert "serve_request_requests_total" in names
         assert "scheduler_batch_size_bucket" in names
         assert "serve_batch_latency_seconds_bucket" in names
-        assert "plan_cache_hits_total" in names
         assert "serve_traces_sampled_total" in names
 
     def test_stats_reports_tracing_section(self, traced_stack):

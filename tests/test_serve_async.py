@@ -558,33 +558,36 @@ class TestServedEquivalence:
 
 
 class TestCompiledServing:
-    """The compiled-plan path through the async runtime (satellite of
-    the trace/plan refactor): identity vs eager, the server's one
-    plan cache, the ``/stats`` plans section, and the escape hatch."""
+    """The opt-in float32 plan path through the async runtime: the
+    server's one plan cache, identity with a float32 ``Predictor``, the
+    ``/stats`` plans section, and the ``plan_dtype`` validation."""
 
-    def test_async_compiled_matches_eager(self, tiny, model):
+    def test_async_float32_matches_predictor(self, tiny, model):
+        """Served float32 plans answer as a float32 ``Predictor`` does."""
         _, splits = tiny
-        batch = _edge_case_batch(splits)
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        expected = {id(s): r for s, r in zip(batch, eager.predict_batch(batch))}
+        batch = list(splits.test[:4])
+        reference = Predictor(model, graph_cache_size=None, plan_dtype="float32")
+        want = reference.predict_batch(batch)
 
-        config = ServerConfig(max_batch_size=4, max_wait_ms=2.0)
+        # one flush of the whole batch: it lands in the reference's bucket
+        config = ServerConfig(max_batch_size=4, max_wait_ms=1000.0, plan_dtype="float32")
         server = InferenceServer(model, config=config).start()
         try:
             assert server.plan_cache is not None
-            for sample in batch:
-                served = server.predict(sample, timeout=30.0)
-                want = expected[id(sample)]
-                assert served.ranked_pois == want.ranked_pois
-                assert served.ranked_tiles == want.ranked_tiles
-                assert served.poi_rank == want.poi_rank
             assert server.predictor.plan_cache is server.plan_cache
+            futures = [server.submit(sample) for sample in batch]
+            served = [future.result(timeout=30.0) for future in futures]
+            assert server.plan_cache.traces == 1
         finally:
             server.stop(drain=True)
+        for got, expected in zip(served, want):
+            assert got.ranked_pois == expected.ranked_pois
+            assert got.ranked_tiles == expected.ranked_tiles
+            assert got.poi_rank == expected.poi_rank
 
     def test_stats_reports_plans_section(self, tiny, model):
         _, splits = tiny
-        config = ServerConfig(max_batch_size=4, max_wait_ms=2.0)
+        config = ServerConfig(max_batch_size=4, max_wait_ms=2.0, plan_dtype="float32")
         server = InferenceServer(model, config=config).start()
         try:
             for sample in splits.test[:8]:
@@ -593,7 +596,7 @@ class TestCompiledServing:
         finally:
             server.stop(drain=True)
         assert plans["enabled"] is True
-        assert plans["dtype"] == "float64"
+        assert plans["dtype"] == "float32"
         assert plans["traces"] >= 1
         assert plans["misses"] >= plans["traces"]
         assert plans["hits"] >= 0 and plans["fallbacks"] == 0
@@ -603,20 +606,12 @@ class TestCompiledServing:
             assert entry["steps"] > 0
             assert entry["buffer_bytes"] >= 0
 
-    def test_compile_false_escape_hatch(self, tiny, model):
-        _, splits = tiny
-        batch = list(splits.test[:4])
-        eager = Predictor(model, graph_cache_size=None, compile=False)
-        expected = [r.ranked_pois for r in eager.predict_batch(batch)]
-        config = ServerConfig(compile=False)
-        server = InferenceServer(model, config=config).start()
-        try:
-            assert server.plan_cache is None
-            served = [server.predict(s, timeout=30.0).ranked_pois for s in batch]
-            assert server.stats()["plans"] == {"enabled": False}
-        finally:
-            server.stop(drain=True)
-        assert served == expected
+    def test_unusable_plan_dtype_rejected(self):
+        """A dtype no plan can run is refused before any shard sees it."""
+        for dtype in ("int8", "float16"):
+            with pytest.raises(ValueError, match="plan_dtype"):
+                ServerConfig(plan_dtype=dtype)
+        assert ServerConfig(plan_dtype="float32").plan_dtype == "float32"
 
     def test_plan_dtype_float32_served(self, tiny, model):
         _, splits = tiny

@@ -612,6 +612,54 @@ class TestPrequentialReplay:
         assert comparison["stream"]["predictions"] == comparison["baseline"]["predictions"]
         assert comparison["stream"]["metrics"] == comparison["baseline"]["metrics"]
 
+    def test_leg_seconds_are_round_medians(self, replay_setup, monkeypatch):
+        """Leg seconds are medians over the rounds, like the speedups.
+
+        Each leg's passes are given scripted times with a slow first
+        (cold) round, so a leg dict read from round 0 would contradict
+        the paired-median speedups next to it.
+        """
+        from repro.stream import replay as replay_module
+
+        predictor, events = replay_setup
+        scripted = {
+            "baseline": iter([30.0, 10.0, 20.0]),
+            "stream": iter([9.0, 2.0, 3.0]),
+            "incremental": iter([6.0, 1.0, 2.0]),
+        }
+
+        def timed(run, leg_of):
+            def scripted_run(*args, **kwargs):
+                report = run(*args, **kwargs)
+                report.seconds = next(scripted[leg_of(kwargs)])
+                return report
+
+            return scripted_run
+
+        monkeypatch.setattr(
+            replay_module,
+            "serialised_rebuild_baseline",
+            timed(replay_module.serialised_rebuild_baseline, lambda kwargs: "baseline"),
+        )
+        monkeypatch.setattr(
+            replay_module,
+            "prequential_replay",
+            timed(
+                replay_module.prequential_replay,
+                lambda kwargs: "incremental" if kwargs["incremental"] else "stream",
+            ),
+        )
+        comparison = compare_replay(predictor, events[:60], batch_size=16, rounds=3)
+        stream = comparison["stream"]
+        assert stream["round_seconds"] == [9.0, 2.0, 3.0]
+        assert stream["seconds"] == 3.0
+        assert stream["events_per_second"] == round(60 / 3.0, 2)
+        assert comparison["baseline"]["seconds"] == 20.0
+        assert comparison["incremental"]["seconds"] == 2.0
+        # paired per-round ratios 30/9, 10/2, 20/3: the median is 5
+        assert comparison["speedup"] == 5.0
+        assert all(next(times, None) is None for times in scripted.values())
+
     def test_no_label_leakage_prediction_precedes_ingest(self, model):
         """A replayed prediction must not see its own event: with a
         2-event stream the single prediction's history/prefix is the
