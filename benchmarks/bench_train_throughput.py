@@ -14,15 +14,19 @@ in batch-shape-dependent order).
 
 Alongside the human-readable table the run emits
 ``benchmarks/results/BENCH_train.json`` — the machine-readable BENCH
-trajectory point (samples/sec, loss-parity residual).  Run standalone
-with ``PYTHONPATH=src python benchmarks/bench_train_throughput.py``
-(the CI workflow does exactly that and uploads the JSON artifact).
+trajectory point (samples/sec, loss-parity residual, and the cores,
+BLAS library and ``OPENBLAS_NUM_THREADS`` it was measured under).  Run
+standalone with ``PYTHONPATH=src python
+benchmarks/bench_train_throughput.py`` (the CI workflow does exactly
+that and uploads the JSON artifact).
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import format_table, get_profile, prepare, build_model
@@ -73,6 +77,21 @@ def _loss_parity(data, profile):
     return abs(batched - singles) / abs(singles)
 
 
+def _environment():
+    """Cores, BLAS library and BLAS thread setting of this process."""
+    blas = "unknown"
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{info.get('name', '?')} {info.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        pass
+    return {
+        "cpu_cores": os.cpu_count(),
+        "blas": blas,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def run_bench(profile=None, save_report=None):
     profile = (profile or get_profile("quick")).smaller(0.5)
     data = prepare("nyc", profile, seed=0)
@@ -104,6 +123,7 @@ def run_bench(profile=None, save_report=None):
         "batch_size": BATCH_SIZE,
         "train_samples": TRAIN_SAMPLES,
         "measured_epochs": MEASURED_EPOCHS,
+        **_environment(),
         **{key: round(value, 6) for key, value in report.items()},
     }
     out = RESULTS_DIR / "BENCH_train.json"

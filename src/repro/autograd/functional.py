@@ -9,7 +9,7 @@ cosine similarity) used throughout the TSPN-RA model and baselines.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -156,12 +156,26 @@ def cross_entropy(
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
+def dropout(
+    x: Tensor,
+    rate: float,
+    rng: np.random.Generator,
+    training: bool = True,
+    rows: Optional[Tuple[Tuple[int, ...], Tuple]] = None,
+) -> Tensor:
+    """Inverted dropout; identity when not training or rate == 0.
+
+    ``rows=(shape, index)`` says that ``x`` holds some rows of a larger
+    ``shape`` activation: the mask is drawn at ``shape`` and
+    ``mask[index]`` (which must have ``x``'s shape) is applied, so the
+    generator advances, and those rows are masked, exactly as for the
+    whole activation.
+    """
     if not training or rate <= 0.0:
         return x
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+    shape, index = rows if rows is not None else (x.shape, ...)
+    mask = (rng.random(shape) < keep)[index].astype(x.dtype) / keep
     return x * Tensor(mask)
 
 

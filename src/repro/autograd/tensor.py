@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation on top of numpy.
 
 This module is the substrate that replaces PyTorch for the whole
-reproduction (see DESIGN.md, Section 2).  It provides a :class:`Tensor`
-wrapping an ``numpy.ndarray`` together with a dynamically built
-computation graph.  Calling :meth:`Tensor.backward` walks the graph in
-reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``.
+reproduction.  It provides a :class:`Tensor` wrapping an
+``numpy.ndarray`` together with a dynamically built computation graph.
+Calling :meth:`Tensor.backward` walks the graph in reverse topological
+order and accumulates gradients into every tensor created with
+``requires_grad=True``.
 
 Design notes
 ------------

@@ -42,6 +42,8 @@ class TSPNRAConfig:
             raise ValueError("dim must be divisible by 4 (Eq. 4 splits dims between x and y)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1) per Eq. 5")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
         if self.drop_edge_type not in ("", "road", "contain", "branch"):
             raise ValueError("drop_edge_type must be '', 'road', 'contain' or 'branch'")
 

@@ -380,14 +380,17 @@ class TSPNRA(Module, PredictorBase):
         """Feed prep: a batch -> the padded feeds :meth:`_encode_core` consumes.
 
         Everything batch-dependent becomes an explicit feed here —
-        padded id grids, the Eq. 4 code, time-slot ids, gather
-        positions, the right-padded knowledge rows and their
-        pre-broadcast masks — so the core derives nothing batch-shaped
-        and a trace can capture it.  ``knowledge`` holds each sample's
-        ``(tile rows, POI rows)`` (``None`` for a side it lacks), or is
-        ``None`` when the batch has none.  The knowledge feeds are
-        Tensors padded by :func:`~repro.autograd.pad_stack`, so
-        gradients reach the HGAT; every other feed is a plain array.
+        padded id grids, the Eq. 4 code, time-slot ids, each sample's
+        output position (``positions``) and the ``(B, 1, 1, L)``
+        key-padding mask its output row attends under in the final
+        fusion block (``prefix_mask``, True after that position), the
+        right-padded knowledge rows and their pre-broadcast masks — so
+        the core derives nothing batch-shaped and a trace can capture
+        it.  ``knowledge`` holds each sample's ``(tile rows, POI
+        rows)`` (``None`` for a side it lacks), or is ``None`` when the
+        batch has none.  The knowledge feeds are Tensors padded by
+        :func:`~repro.autograd.pad_stack`, so gradients reach the HGAT;
+        every other feed is a plain array.
         ``bucket`` ``(B, L, H_tiles, H_pois)`` pads to a plan's traced
         shape; ``None`` pads to the batch's own maxima.  Padded batch
         rows get a length-1 all-zeros prefix and no knowledge; causal
@@ -421,6 +424,7 @@ class TSPNRA(Module, PredictorBase):
             "prefix_ids": prefix_ids,
             "tile_ids": self._poi_leaf[prefix_ids],
             "positions": positions,
+            "prefix_mask": key_padding_mask(positions + 1, l_pad)[:, None, None, :],
         }
         if self.config.use_st_encoder:
             code = self._spatial_code_table(get_default_dtype())
@@ -446,12 +450,12 @@ class TSPNRA(Module, PredictorBase):
         """The encode's Tensor math over :meth:`_encode_feeds` feeds.
 
         Embedding gathers, the Eq. 4 code and the Mt slot embeddings,
-        then both fusion stacks, each ending in the per-sample position
-        gather.  Nothing batch-shaped is derived here (the causal mask
-        depends only on the padded length), so the same function runs
-        eagerly at a batch's exact shape (:meth:`encode_batch`) and is
-        traced once per shape bucket into a plan
-        (:meth:`build_encode_plan`).
+        then both fusion stacks, each ending in a final block that runs
+        on every sample's output row only.  Nothing batch-shaped is
+        derived here (the causal mask depends only on the padded
+        length), so the same function runs eagerly at a batch's exact
+        shape (:meth:`encode_batch`) and is traced once per shape bucket
+        into a plan (:meth:`build_encode_plan`).
         """
         tile_sequence = tile_embeddings[feeds["tile_ids"]]  # (B, L, dim)
         poi_sequence = poi_embeddings[feeds["prefix_ids"]]
@@ -465,6 +469,7 @@ class TSPNRA(Module, PredictorBase):
                 sequence,
                 feeds["positions"],
                 causal,
+                feeds["prefix_mask"],
                 feeds.get(f"history_{name}"),
                 feeds.get(f"{name}_mask"),
                 feeds.get(f"has_{name}"),

@@ -1,8 +1,8 @@
 """Synthetic location-based social network generator.
 
-Replaces the Foursquare / Weeplaces check-in datasets (see DESIGN.md,
-Section 2).  The generator manufactures exactly the regularities the
-paper's model family feeds on:
+Replaces the Foursquare / Weeplaces check-in datasets.  The generator
+manufactures exactly the regularities the paper's model family feeds
+on:
 
 * **non-uniform POI density** — POIs are placed by rejection sampling
   against the land-use map, so commercial cores are dense and rural

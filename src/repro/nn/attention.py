@@ -49,9 +49,11 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``num_heads`` heads.
 
     ``query`` is ``(B, L_q, dim)``; ``key``/``value`` are
-    ``(B, L_k, dim)``.  A fully masked row yields a uniform
-    distribution over blocked positions — callers discard those rows
-    (padded queries) or select away the output (absent history).
+    ``(B, L_k, dim)``; ``L_q`` may differ from ``L_k`` (a fusion
+    stack's final block queries with each sample's output row alone).
+    A fully masked row yields a uniform distribution over blocked
+    positions — callers select away that output (a cross attention
+    onto a history that is all padding).
     """
 
     def __init__(self, dim: int, num_heads: int = 4, rng=None):

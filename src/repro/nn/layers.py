@@ -116,9 +116,11 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng or default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, rows=None) -> Tensor:
+        """``rows=(shape, index)``: ``x`` is some rows of a larger
+        activation (see :func:`repro.autograd.dropout`)."""
         training = self.training and is_grad_enabled()
-        return dropout_fn(x, self.rate, self._rng, training=training)
+        return dropout_fn(x, self.rate, self._rng, training=training, rows=rows)
 
 
 class ReLU(Module):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gather_at, gradcheck
 from repro.core import (
     FusionModule,
     HGATEncoder,
@@ -38,6 +40,16 @@ class TestConfig:
     def test_dim_mod_four(self):
         with pytest.raises(ValueError):
             TSPNRAConfig(dim=34, num_heads=2)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        """A rate of 1 divides by zero, above 1 zeroes every activation
+        and below 0 silently turns dropout off."""
+        with pytest.raises(ValueError, match="dropout"):
+            TSPNRAConfig(dropout=rate)
+
+    def test_dropout_zero_allowed(self):
+        assert TSPNRAConfig(dropout=0.0).dropout == 0.0
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -216,6 +228,10 @@ def _causal(length):
     return causal_mask(length)[None, None, :, :]
 
 
+def _prefix(positions, length):
+    return key_padding_mask(np.asarray(positions) + 1, length)[:, None, None, :]
+
+
 class TestFusion:
     """``forward_batch`` takes last positions and pre-broadcast masks."""
 
@@ -229,6 +245,7 @@ class TestFusion:
             seq,
             np.array([5]),
             _causal(6),
+            _prefix([5], 6),
             hist,
             mask[:, None, None, :],
             (~mask.all(axis=1))[:, None, None],
@@ -239,7 +256,8 @@ class TestFusion:
         fusion = FusionModule(dim=16, num_heads=2, num_layers=1, rng=spawn(9))
         fusion.eval()
         seq = Tensor(np.random.default_rng(7).normal(size=(1, 4, 16)))
-        assert fusion.forward_batch(seq, np.array([3]), _causal(4)).shape == (1, 16)
+        out = fusion.forward_batch(seq, np.array([3]), _causal(4), _prefix([3], 4))
+        assert out.shape == (1, 16)
 
     def test_causality(self):
         """Positions after a sample's last real one never reach its
@@ -250,14 +268,99 @@ class TestFusion:
         seq = np.random.default_rng(8).normal(size=(1, 4, 16))
         changed = seq.copy()
         changed[:, 2:] += 10.0
+        masks = (_causal(4), _prefix([1], 4))
         np.testing.assert_allclose(
-            fusion.forward_batch(Tensor(changed), np.array([1]), _causal(4)).data,
-            fusion.forward_batch(Tensor(seq), np.array([1]), _causal(4)).data,
+            fusion.forward_batch(Tensor(changed), np.array([1]), *masks).data,
+            fusion.forward_batch(Tensor(seq), np.array([1]), *masks).data,
             rtol=0,
             atol=1e-12,
         )
-        single = fusion.forward_batch(Tensor(seq[:, :1]), np.array([0]), _causal(1))
+        single = fusion.forward_batch(
+            Tensor(seq[:, :1]), np.array([0]), _causal(1), _prefix([0], 1)
+        )
         assert single.shape == (1, 16)
+
+
+@st.composite
+def _fusion_cases(draw):
+    """(batch, L, output positions, knowledge counts or None, H, layers, seed)."""
+    batch = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 6))
+    positions = draw(st.lists(st.integers(0, length - 1), min_size=batch, max_size=batch))
+    width = draw(st.integers(1, 4))
+    history = draw(st.sampled_from(["none", "all padding", "partial"]))
+    counts = {
+        "none": None,
+        "all padding": [0] * batch,
+        "partial": draw(st.lists(st.integers(0, width), min_size=batch, max_size=batch)),
+    }[history]
+    layers = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    return batch, length, np.asarray(positions), counts, width, layers, seed
+
+
+class TestFusionOutputRows:
+    """The final block runs on the output rows only, and that changes
+    nothing: ``forward_batch`` equals running every block over every
+    position and then gathering the output rows."""
+
+    @staticmethod
+    def _all_rows(fusion, sequence, positions, history, cross_mask, has_history):
+        causal = _causal(sequence.shape[1])
+        for block in fusion.blocks:
+            sequence = block(sequence, sequence, causal, history, cross_mask, has_history)
+        return gather_at(sequence, positions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fusion_cases(), st.booleans())
+    def test_matches_all_rows_reference(self, case, training):
+        """Outputs and input gradients agree, and in training mode the
+        dropout generator ends in the same state (the masks are drawn
+        at the all-rows shapes, in the all-rows order)."""
+        batch, length, positions, counts, width, layers, seed = case
+        data = np.random.default_rng(seed)
+        fusion = FusionModule(dim=8, num_heads=2, num_layers=layers, rng=spawn(seed))
+        fusion.train(training)
+        sequence = data.normal(size=(batch, length, 8))
+        history = data.normal(size=(batch, width, 8))
+        weights = Tensor(data.normal(size=(batch, 8)))
+        cross_mask = has_history = None
+        if counts is not None:
+            padding = key_padding_mask(counts, width)
+            cross_mask = padding[:, None, None, :]
+            has_history = (~padding.all(axis=1))[:, None, None]
+
+        def run(forward):
+            generator = np.random.default_rng(seed)
+            for block in fusion.blocks:
+                block.drop._rng = generator
+            x = Tensor(sequence, requires_grad=True)
+            h = None if counts is None else Tensor(history, requires_grad=True)
+            out = forward(x, h)
+            (out * weights).sum().backward()
+            return out.data, x.grad, None if h is None else h.grad, generator
+
+        rows = run(
+            lambda x, h: fusion.forward_batch(
+                x,
+                positions,
+                _causal(length),
+                _prefix(positions, length),
+                h,
+                cross_mask,
+                has_history,
+            )
+        )
+        reference = run(
+            lambda x, h: self._all_rows(fusion, x, positions, h, cross_mask, has_history)
+        )
+        assert rows[0].shape == (batch, 8)
+        for got, want in zip(rows[:3], reference[:3]):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert rows[3].bit_generator.state == reference[3].bit_generator.state
 
 
 class TestLosses:

@@ -251,6 +251,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format 9"):
             load_checkpoint(future, dataset=dataset)
 
+    def test_out_of_range_dropout_in_meta_rejected(self, tiny, trained_tspnra, tmp_path):
+        """The model config comes from the checkpoint's JSON meta; a
+        dropout rate outside [0, 1) fails the load instead of building
+        a model whose training steps are NaN."""
+        dataset, _, _ = tiny
+        path = save_checkpoint(trained_tspnra, tmp_path / "v1.npz", dataset=dataset)
+        meta, _, _ = read_checkpoint(path)
+        bad = self._rewrite_checkpoint(
+            path,
+            tmp_path / "bad.npz",
+            meta_patch={"model_config": {**meta["model_config"], "dropout": 1.0}},
+        )
+        with pytest.raises(ValueError, match="dropout"):
+            load_checkpoint(bad, dataset=dataset)
+
     def test_strict_false_tolerates_unknown_extra_keys(self, tiny, trained_tspnra, tmp_path):
         """Weights-only forward compat: a checkpoint written by a newer
         schema with additional ``extra::`` side-state still loads with
