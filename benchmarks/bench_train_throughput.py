@@ -4,8 +4,12 @@ One leg through :class:`repro.train.Trainer`: one padded, fully
 differentiable ``loss_batch`` forward/backward per mini-batch (batched
 fusion attention, packed edge-list HGAT, vectorised ArcFace heads).
 The model's caches (QR-P graphs, imagery columns) are warmed by one
-untimed epoch first, so the number reflects steady-state epochs rather
-than first-touch graph construction.
+untimed epoch first, so the numbers reflect steady-state epochs rather
+than first-touch graph construction.  Then ``ROUNDS`` rounds of
+``MEASURED_EPOCHS`` epochs each are timed one after another; the
+report gives the median and quartiles of the rounds' samples/s, and
+every round's value, so one noisy sub-second leg cannot stand for the
+whole run.
 
 A loss-parity check asserts that padding never reaches a real row:
 ``loss_batch`` over one mini-batch equals the sum of the batch's
@@ -14,7 +18,8 @@ in batch-shape-dependent order).
 
 Alongside the human-readable table the run emits
 ``benchmarks/results/BENCH_train.json`` — the machine-readable BENCH
-trajectory point (samples/sec, loss-parity residual, and the cores,
+trajectory point (median samples/sec as ``batched_sps``, its quartiles
+and every round's samples/sec, the loss-parity residual, and the cores,
 BLAS library and ``OPENBLAS_NUM_THREADS`` it was measured under).  Run
 standalone with ``PYTHONPATH=src python
 benchmarks/bench_train_throughput.py`` (the CI workflow does exactly
@@ -23,6 +28,7 @@ that and uploads the JSON artifact).
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -37,7 +43,8 @@ pytestmark = pytest.mark.slow
 RESULTS_DIR = Path(__file__).parent / "results"
 BATCH_SIZE = 8  # the paper's training batch size
 TRAIN_SAMPLES = 160
-MEASURED_EPOCHS = 2
+MEASURED_EPOCHS = 2  # per timed round
+ROUNDS = 9
 
 
 def _train_config(profile, epochs):
@@ -51,15 +58,18 @@ def _train_config(profile, epochs):
 
 
 def _measure(data, profile):
-    """Samples/sec over MEASURED_EPOCHS steady-state epochs."""
+    """Samples/sec of each of ROUNDS rounds of MEASURED_EPOCHS steady-state epochs."""
     model = build_model("TSPN-RA", data, profile, seed=0)
     Trainer(model, _train_config(profile, epochs=1)).fit(
         data.splits.train
     )  # untimed warm-up epoch: builds QR-P graphs / imagery columns
-    trainer = Trainer(model, _train_config(profile, MEASURED_EPOCHS))
-    start = time.perf_counter()
-    trainer.fit(data.splits.train)
-    return TRAIN_SAMPLES * MEASURED_EPOCHS / (time.perf_counter() - start)
+    rates = []
+    for _ in range(ROUNDS):
+        trainer = Trainer(model, _train_config(profile, MEASURED_EPOCHS))
+        start = time.perf_counter()
+        trainer.fit(data.splits.train)
+        rates.append(TRAIN_SAMPLES * MEASURED_EPOCHS / (time.perf_counter() - start))
+    return rates
 
 
 def _loss_parity(data, profile):
@@ -97,11 +107,18 @@ def run_bench(profile=None, save_report=None):
     data = prepare("nyc", profile, seed=0)
 
     parity = _loss_parity(data, profile)
-    batched_sps = _measure(data, profile)
-    report = {"batched_sps": batched_sps, "loss_parity_rel_diff": parity}
+    rates = _measure(data, profile)
+    q1, median, q3 = statistics.quantiles(rates, n=4)
+    report = {
+        "batched_sps": median,
+        "batched_sps_q1": q1,
+        "batched_sps_q3": q3,
+        "loss_parity_rel_diff": parity,
+    }
 
     rows = [
-        ["batched samples/s", f"{batched_sps:10.2f}"],
+        [f"batched samples/s (median of {ROUNDS})", f"{median:10.2f}"],
+        ["  quartiles", f"{q1:.2f}-{q3:.2f}"],
         ["loss parity rel diff", f"{parity:10.2e}"],
     ]
     table = format_table(
@@ -122,9 +139,12 @@ def run_bench(profile=None, save_report=None):
         "dataset": "nyc",
         "batch_size": BATCH_SIZE,
         "train_samples": TRAIN_SAMPLES,
+        "warmup_epochs": 1,
         "measured_epochs": MEASURED_EPOCHS,
+        "rounds": ROUNDS,
         **_environment(),
         **{key: round(value, 6) for key, value in report.items()},
+        "round_sps": [round(rate, 6) for rate in rates],
     }
     out = RESULTS_DIR / "BENCH_train.json"
     out.write_text(json.dumps(trajectory_point, indent=2) + "\n")

@@ -249,28 +249,35 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return table[np.asarray(indices, dtype=np.int64)]
 
 
+def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
+    return (size + 2 * padding - kernel) // stride + 1
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> tuple:
-    """Unfold ``(N, C, H, W)`` into convolution columns.
+    """Unfold a batch-innermost ``(C, H, W, N)`` stack into convolution columns.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C*kernel*kernel, out_h*out_w)``.
+    ``(C*kernel*kernel, out_h*out_w*N)``: rows in the ``(c, ki, kj)``
+    order of a flattened ``(O, C, K, K)`` weight, columns in
+    ``(oh, ow, n)`` order.  With the batch innermost, each of the
+    ``kernel*kernel`` taps is one strided copy whose contiguous runs
+    are whole batches, and the convolution is one gemm for the batch.
     """
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
+    out_h = _conv_out(h, kernel, stride, padding)
+    out_w = _conv_out(w, kernel, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+        padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
+        padded[:, padding:padding + h, padding:padding + w, :] = x
+        x = padded
+    cols = np.empty((c, kernel, kernel, out_h, out_w, n), dtype=x.dtype)
+    for ki in range(kernel):
+        i_max = ki + stride * out_h
+        for kj in range(kernel):
+            cols[:, ki, kj] = x[:, ki:i_max:stride, kj:kj + stride * out_w:stride, :]
+    return cols.reshape(c * kernel * kernel, out_h * out_w * n), out_h, out_w
 
 
 def col2im(
@@ -282,17 +289,20 @@ def col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter columns back onto the image."""
-    n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kernel, kernel, out_h, out_w)
+    """Adjoint of :func:`im2col`: add columns back onto a ``(C, H, W, N)`` stack.
+
+    Each tap is one strided add whose contiguous runs are whole batches.
+    """
+    c, h, w, n = x_shape
+    padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=cols.dtype)
+    cols = cols.reshape(c, kernel, kernel, out_h, out_w, n)
     for ki in range(kernel):
         i_max = ki + stride * out_h
         for kj in range(kernel):
             j_max = kj + stride * out_w
-            padded[:, :, ki:i_max:stride, kj:j_max:stride] += cols[:, :, ki, kj, :, :]
+            padded[:, ki:i_max:stride, kj:j_max:stride, :] += cols[:, ki, kj]
     if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
+        return padded[:, padding:-padding, padding:-padding, :]
     return padded
 
 
@@ -304,16 +314,20 @@ def conv2d(
     padding: int = 0,
     cols: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """2-D convolution via im2col.
+    """2-D convolution of a batch-innermost stack via im2col.
 
-    ``x``: ``(N, C, H, W)``; ``weight``: ``(O, C, K, K)``;
-    ``bias``: ``(O,)`` or ``None``.  ``cols`` may carry a precomputed
+    ``x``: ``(C, H, W, N)``; ``weight``: ``(O, C, K, K)``;
+    ``bias``: ``(O,)`` or ``None``; the output is ``(O, out_h, out_w, N)``.
+    The batch is the innermost axis so that the whole batch is one
+    ``(O, C*K*K) @ (C*K*K, out_h*out_w*N)`` gemm (and each gradient one
+    more), where an ``(N, C, H, W)`` layout needs a gemm per image and
+    unfolds in runs of a few elements.  ``cols`` may carry a precomputed
     ``im2col(x.data, ...)`` result: the unfolding depends only on the
     input, so callers convolving a *static* input every step (the tile
     imagery encoder re-embeds the same tile set each training batch)
-    can cache it and skip the unfold + copy.
+    can cache it and skip the unfold.
     """
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     o, c_w, kh, kw = weight.shape
     if c != c_w or kh != kw:
         raise ValueError("weight shape incompatible with input")
@@ -321,35 +335,28 @@ def conv2d(
     if cols is None:
         cols, out_h, out_w = im2col(x.data, kernel, stride, padding)
     else:
-        out_h = (h + 2 * padding - kernel) // stride + 1
-        out_w = (w + 2 * padding - kernel) // stride + 1
-    # (o, k) @ (n, k, p) broadcasts the weight matrix over the batch and
-    # runs one BLAS gemm per image — numpy's einsum kernel for the same
-    # contraction is a naive loop and several times slower on this
-    # per-training-batch hot path (E_T is re-encoded every step).
+        out_h = _conv_out(h, kernel, stride, padding)
+        out_w = _conv_out(w, kernel, stride, padding)
     w_mat = weight.data.reshape(o, -1)
-    out = np.matmul(w_mat, cols)
+    out = w_mat @ cols
     if bias is not None:
-        out = out + bias.data[None, :, None]
-    out = out.reshape(n, o, out_h, out_w)
+        out += bias.data[:, None]
+    out = out.reshape(o, out_h, out_w, n)
 
     x_shape = x.shape
 
     def grad_x(g: np.ndarray) -> np.ndarray:
-        g_mat = g.reshape(n, o, out_h * out_w)
-        dcols = np.matmul(w_mat.T, g_mat)
+        dcols = w_mat.T @ g.reshape(o, -1)
         return col2im(dcols, x_shape, kernel, stride, padding, out_h, out_w)
 
     def grad_w(g: np.ndarray) -> np.ndarray:
-        # batched (o, p) @ (p, k) gemms on transposed views — BLAS
-        # handles the swapped strides natively, so no 10+ MB copies
-        g_mat = g.reshape(n, o, out_h * out_w)
-        dw = np.matmul(g_mat, np.swapaxes(cols, 1, 2)).sum(axis=0)
-        return dw.reshape(weight.shape)
+        # (O, P*N) @ (P*N, C*K*K) on the transposed view of the saved
+        # columns: BLAS reads the swapped strides natively, no copy
+        return (g.reshape(o, -1) @ cols.T).reshape(weight.shape)
 
     parents = [x, weight]
     grad_fns = [grad_x, grad_w]
     if bias is not None:
         parents.append(bias)
-        grad_fns.append(lambda g: g.sum(axis=(0, 2, 3)))
+        grad_fns.append(lambda g: g.sum(axis=(1, 2, 3)))
     return Tensor._make(out, parents, grad_fns, "conv2d")

@@ -36,6 +36,16 @@ class TSPNRAConfig:
     negatives_no_two_step: int = 64  # sampled negatives when two-step is off
 
     def __post_init__(self):
+        # counts first: num_heads=0 would divide by zero below, and a
+        # checkpoint's JSON meta reaches here unchecked
+        if self.fusion_layers < 1:
+            raise ValueError("fusion_layers must be at least 1")
+        if self.num_heads < 1:
+            raise ValueError("num_heads must be at least 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be at least 1 (step one keeps K tiles)")
+        if self.hgat_layers < 0:
+            raise ValueError("hgat_layers must be at least 0")
         if self.dim % self.num_heads != 0:
             raise ValueError("dim must be divisible by num_heads")
         if self.dim % 4 != 0:

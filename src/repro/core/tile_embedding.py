@@ -5,6 +5,13 @@ image — the paper's memory-saving replacement for 2x2 max pooling —
 then the compressed hyper-image is flattened, pushed through a
 feed-forward layer to dimension d_m, and L2-normalised.
 
+The CNN runs on a batch-innermost ``(C, H, W, N)`` stack of all tiles,
+so that each convolution, forward and backward, is one gemm over the
+whole tile set (see :func:`~repro.autograd.functional.conv2d`); the
+``(C3, h, w, N)`` output is flattened back to ``(N, C3*h*w)`` in
+``(c, h, w)`` order, so the projection's weight means what it meant
+under an ``(N, C, H, W)`` layout and checkpoints keep their meaning.
+
 The ablation variant (``use_imagery=False``, Table IV "No Imagery")
 swaps the CNN for a plain learnable per-tile table.
 """
@@ -48,14 +55,14 @@ class ImageTileEmbedder(Module):
         self.conv3 = Conv2d(c2, c3, kernel_size=3, stride=2, padding=1, rng=rng)
         flat = c3 * (resolution // 8) ** 2
         self.project = Linear(flat, dim, rng=rng)
-        # static-input fast path for all_embeddings: the full-tile image
-        # stack and its first-layer im2col columns never change, so the
-        # per-training-batch re-encode of E_T skips both
+        # static-input fast path for all_embeddings: the full-tile
+        # (3, R, R, N) image stack and its first-layer im2col columns
+        # never change, so the per-training-batch re-encode of E_T skips both
         self._all_images: Optional[Tensor] = None
         self._all_cols: Optional[np.ndarray] = None
 
-    def forward(self, tile_ids: Sequence[int]) -> Tensor:
-        """Embeddings for a list of tile ids, shape ``(len(ids), dim)``.
+    def all_embeddings(self) -> Tensor:
+        """E_T for every tile (leaves and internal nodes), ``(num_tiles, dim)``.
 
         The final step normalises "across the feature space" (paper
         Fig. 6): embeddings are centred over the tile set before L2
@@ -63,31 +70,24 @@ class ImageTileEmbedder(Module):
         live in a narrow positive cone (pairwise cosine near 1) and
         cosine ranking over tiles is ill-conditioned.
         """
-        images = self.catalog.images_for(tile_ids)  # (n, 3, R, R)
-        return self._encode(Tensor(images), cols=None)
-
-    def _encode(self, x: Tensor, cols) -> Tensor:
+        if self._all_images is None:
+            images = self.catalog.images_for(list(range(self.num_tiles)))  # (N, 3, R, R)
+            stack = np.ascontiguousarray(images.transpose(1, 2, 3, 0))
+            self._all_images = Tensor(stack)
+            self._all_cols, _, _ = im2col(
+                stack, self.conv1.weight.shape[-1], self.conv1.stride, self.conv1.padding
+            )
         x = conv2d(
-            x, self.conv1.weight, self.conv1.bias,
-            stride=self.conv1.stride, padding=self.conv1.padding, cols=cols,
+            self._all_images, self.conv1.weight, self.conv1.bias,
+            stride=self.conv1.stride, padding=self.conv1.padding, cols=self._all_cols,
         ).relu()
         x = self.conv2(x).relu()
-        x = self.conv3(x).relu()
-        x = x.reshape(x.shape[0], -1)
+        x = self.conv3(x).relu()  # (C3, h, w, N)
+        x = x.transpose(3, 0, 1, 2).reshape(self.num_tiles, -1)
         x = self.project(x)
         if x.shape[0] > 1:
             x = x - x.mean(axis=0, keepdims=True)
         return l2_normalize(x, axis=-1)
-
-    def all_embeddings(self) -> Tensor:
-        """E_T for every tile (leaves and internal nodes)."""
-        if self._all_images is None:
-            images = self.catalog.images_for(list(range(self.num_tiles)))
-            self._all_images = Tensor(images)
-            self._all_cols, _, _ = im2col(
-                images, self.conv1.weight.shape[-1], self.conv1.stride, self.conv1.padding
-            )
-        return self._encode(self._all_images, cols=self._all_cols)
 
 
 class TableTileEmbedder(Module):

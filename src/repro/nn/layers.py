@@ -57,7 +57,13 @@ class Embedding(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution; stride-2 variants replace pooling in Me1 (paper Sec. IV-A)."""
+    """2-D convolution; stride-2 variants replace pooling in Me1 (paper Sec. IV-A).
+
+    Inputs and outputs are batch-innermost ``(C, H, W, N)`` stacks, so
+    that a forward is one gemm for the whole batch (see
+    :func:`~repro.autograd.functional.conv2d`).  The weight keeps the
+    ``(O, C, K, K)`` shape.
+    """
 
     def __init__(
         self,

@@ -127,7 +127,7 @@ class TestCrossEntropyReductions:
 class TestConv2dPrecomputedCols:
     def test_matches_fresh_unfold(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        x = Tensor(rng.normal(size=(3, 8, 8, 2)))
         w = _t(rng.normal(size=(4, 3, 3, 3)) * 0.1)
         b = _t(np.zeros(4))
         fresh = conv2d(x, w, b, stride=2, padding=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import (
     Tensor,
@@ -165,9 +167,11 @@ class TestDropout:
 
 
 class TestConv2d:
+    """``conv2d`` on batch-innermost ``(C, H, W, N)`` stacks."""
+
     def test_im2col_col2im_adjoint(self):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(2, 3, 6, 6))
+        x = rng.normal(size=(3, 6, 6, 2))
         cols, oh, ow = im2col(x, kernel=3, stride=2, padding=1)
         # <Ax, Ax> = <x, A^T A x> checks the adjoint pairing
         y = rng.normal(size=cols.shape)
@@ -177,26 +181,26 @@ class TestConv2d:
         assert np.isclose(lhs, rhs)
 
     def test_conv_output_shape(self):
-        x = _t(np.zeros((1, 3, 8, 8)))
+        x = _t(np.zeros((3, 8, 8, 1)))
         w = _t(np.zeros((4, 3, 3, 3)))
         out = conv2d(x, w, stride=2, padding=1)
-        assert out.shape == (1, 4, 4, 4)
+        assert out.shape == (4, 4, 4, 1)
 
     def test_conv_matches_direct_computation(self):
         rng = np.random.default_rng(11)
-        x = _t(rng.normal(size=(1, 1, 4, 4)))
+        x = _t(rng.normal(size=(1, 4, 4, 1)))
         w = _t(rng.normal(size=(1, 1, 2, 2)))
         out = conv2d(x, w, stride=1, padding=0)
         expected = np.zeros((3, 3))
         for i in range(3):
             for j in range(3):
-                expected[i, j] = (x.data[0, 0, i:i + 2, j:j + 2] * w.data[0, 0]).sum()
-        assert np.allclose(out.data[0, 0], expected)
+                expected[i, j] = (x.data[0, i:i + 2, j:j + 2, 0] * w.data[0, 0]).sum()
+        assert np.allclose(out.data[0, :, :, 0], expected)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0)])
     def test_conv_grad(self, stride, padding):
         rng = np.random.default_rng(12)
-        x = _t(rng.normal(size=(2, 2, 5, 5)))
+        x = _t(rng.normal(size=(2, 5, 5, 2)))
         w = _t(rng.normal(size=(3, 2, 3, 3)))
         b = _t(rng.normal(size=3))
         assert gradcheck(
@@ -206,7 +210,75 @@ class TestConv2d:
         )
 
     def test_conv_rejects_bad_shapes(self):
-        x = _t(np.zeros((1, 3, 8, 8)))
+        x = _t(np.zeros((3, 8, 8, 1)))
         w = _t(np.zeros((4, 2, 3, 3)))
         with pytest.raises(ValueError):
             conv2d(x, w)
+
+
+def _direct_conv(x, w, b, stride, padding):
+    """Loop-by-loop convolution of a ``(C, H, W, N)`` stack: the reference."""
+    c, h, wd, n = x.shape
+    o, _, k, _ = w.shape
+    xp = np.zeros((c, h + 2 * padding, wd + 2 * padding, n))
+    xp[:, padding:padding + h, padding:padding + wd, :] = x
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((o, out_h, out_w, n))
+    for oc in range(o):
+        for i in range(out_h):
+            for j in range(out_w):
+                for s in range(n):
+                    acc = b[oc]
+                    for ic in range(c):
+                        for ki in range(k):
+                            for kj in range(k):
+                                acc += (
+                                    xp[ic, i * stride + ki, j * stride + kj, s]
+                                    * w[oc, ic, ki, kj]
+                                )
+                    out[oc, i, j, s] = acc
+    return out
+
+
+@st.composite
+def _conv_cases(draw):
+    kernel = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, 2))
+    padding = draw(st.integers(0, 1))
+    smallest = max(1, kernel - 2 * padding)  # at least one output row/column
+    shape = (
+        draw(st.integers(1, 3)),  # C
+        draw(st.integers(smallest, 5)),  # H
+        draw(st.integers(smallest, 5)),  # W
+        draw(st.integers(1, 3)),  # N
+    )
+    out_channels = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(out_channels, shape[0], kernel, kernel))
+    b = rng.normal(size=out_channels)
+    return x, w, b, stride, padding
+
+
+class TestConv2dProperties:
+    """``conv2d`` against a direct loop over every output element."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_conv_cases())
+    def test_matches_direct_loop_reference(self, case):
+        x, w, b, stride, padding = case
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        expected = _direct_conv(x, w, b, stride, padding)
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_conv_cases())
+    def test_gradcheck_input_weight_bias(self, case):
+        x, w, b, stride, padding = case
+        assert gradcheck(
+            lambda a, ww, bb: conv2d(a, ww, bb, stride=stride, padding=padding),
+            [_t(x), _t(w), _t(b)],
+            atol=1e-6,
+        )

@@ -64,6 +64,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             TSPNRAConfig(drop_edge_type="river")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("fusion_layers", 0),
+            ("fusion_layers", -1),
+            ("num_heads", 0),
+            ("num_heads", -2),
+            ("top_k", 0),
+            ("top_k", -3),
+            ("hgat_layers", -1),
+        ],
+    )
+    def test_counts_below_minimum_rejected(self, field, value):
+        """A stack with no fusion block cannot produce h_out, no heads
+        divides by zero, and K < 1 tiles empties (or, negative, slices
+        backwards through) the candidate set."""
+        with pytest.raises(ValueError, match=field):
+            TSPNRAConfig(**{field: value})
+
+    def test_minimum_counts_allowed(self):
+        cfg = TSPNRAConfig(dim=8, num_heads=1, fusion_layers=1, hgat_layers=0, top_k=1)
+        assert (cfg.num_heads, cfg.fusion_layers, cfg.hgat_layers, cfg.top_k) == (1, 1, 0, 1)
+
 
 class TestSpatialEncoding:
     def test_shape(self):
@@ -178,6 +201,32 @@ class TestTileEmbedders:
         emb.all_embeddings().sum().backward()
         assert emb.conv1.weight.grad is not None
         assert emb.project.weight.grad is not None
+
+    def test_all_embeddings_match_per_image_nchw_reference(self):
+        """The batch-innermost CNN means what an ``(N, C, H, W)`` CNN
+        run image by image means, so checkpoints keep their meaning."""
+        emb, tree = _image_embedder()
+
+        def conv(image, layer):  # one (C, H, W) image, gemm over its columns
+            weight, pad, stride = layer.weight.data, layer.padding, layer.stride
+            o, c, k, _ = weight.shape
+            padded = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
+            windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+            windows = windows[:, ::stride, ::stride]  # (C, out_h, out_w, K, K)
+            out_h, out_w = windows.shape[1:3]
+            cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, out_h * out_w)
+            out = weight.reshape(o, -1) @ cols + layer.bias.data[:, None]
+            return np.maximum(out.reshape(o, out_h, out_w), 0.0)
+
+        rows = []
+        for image in emb.catalog.images_for(range(len(tree))):  # (N, 3, R, R)
+            for layer in (emb.conv1, emb.conv2, emb.conv3):
+                image = conv(image, layer)
+            rows.append(image.reshape(-1))  # (c, h, w) order
+        features = np.stack(rows) @ emb.project.weight.data.T + emb.project.bias.data
+        features -= features.mean(axis=0, keepdims=True)
+        expected = features / np.sqrt((features * features).sum(axis=1, keepdims=True) + 1e-12)
+        np.testing.assert_allclose(emb.all_embeddings().data, expected, rtol=0, atol=1e-12)
 
 
 class TestHGAT:

@@ -118,7 +118,7 @@ class TestEmbedding:
 class TestConvAndNorm:
     def test_conv_stride2_halves_resolution(self):
         conv = Conv2d(3, 8, kernel_size=3, stride=2, padding=1, rng=spawn(0))
-        assert conv(_x((1, 3, 16, 16))).shape == (1, 8, 8, 8)
+        assert conv(_x((3, 16, 16, 1))).shape == (8, 8, 8, 1)
 
     def test_layernorm_normalises(self):
         ln = LayerNorm(8)

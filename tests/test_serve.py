@@ -266,6 +266,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="dropout"):
             load_checkpoint(bad, dataset=dataset)
 
+    @pytest.mark.parametrize(
+        "field,value", [("fusion_layers", 0), ("num_heads", 0), ("top_k", 0), ("top_k", -3)]
+    )
+    def test_out_of_range_counts_in_meta_rejected(
+        self, tiny, trained_tspnra, tmp_path, field, value
+    ):
+        """A layer, head or tile count the model cannot run fails the
+        load, instead of a checkpoint that loads and then dies on the
+        first forward or serves empty (or all-but-K) candidate sets."""
+        dataset, _, _ = tiny
+        path = save_checkpoint(trained_tspnra, tmp_path / "v1.npz", dataset=dataset)
+        meta, _, _ = read_checkpoint(path)
+        bad = self._rewrite_checkpoint(
+            path,
+            tmp_path / "bad.npz",
+            meta_patch={"model_config": {**meta["model_config"], field: value}},
+        )
+        with pytest.raises(ValueError, match=field):
+            load_checkpoint(bad, dataset=dataset)
+
     def test_strict_false_tolerates_unknown_extra_keys(self, tiny, trained_tspnra, tmp_path):
         """Weights-only forward compat: a checkpoint written by a newer
         schema with additional ``extra::`` side-state still loads with

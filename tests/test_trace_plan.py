@@ -180,7 +180,7 @@ class TestTrace:
 
     def test_conv2d_raises_trace_error(self):
         rng = spawn(2)
-        x_arr = rng.standard_normal((1, 1, 5, 5))
+        x_arr = rng.standard_normal((1, 5, 5, 1))
         w = Tensor(rng.standard_normal((2, 1, 3, 3)))
         with pytest.raises(TraceError, match="no replay kernel"):
             with no_grad(), trace() as tr:
