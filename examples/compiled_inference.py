@@ -22,10 +22,10 @@ Five stops:
    re-traces; the float64 default and ``compile=False`` build no plan
    cache at all.
 
-The same option serves every tier: ``ServerConfig(plan_dtype=
+The same option serves over HTTP: ``ServerConfig(plan_dtype=
 "float32")`` (CLI: ``repro serve --plan-dtype float32``) gives an
 ``InferenceServer`` one plan cache (``GET /stats`` has a ``plans``
-section), and cluster shard processes each carry their own.
+section).
 
 Runs in seconds on a laptop CPU:
 

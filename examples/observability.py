@@ -1,7 +1,7 @@
 """Observability tour: traces, histograms, and scraping the stack.
 
 The serving runtime grew production habits — micro-batching, compiled
-plans, WAL durability, a shard ring — and ``repro.obs`` is how you see
+plans, WAL durability — and ``repro.obs`` is how you see
 any of it working: every layer feeds one :class:`MetricsRegistry`
 (counters, gauges, fixed-bucket histograms) and a sampled request
 carries a trace through every hand-off — HTTP thread to scheduler
@@ -269,13 +269,6 @@ def main() -> None:
     finally:
         front.stop()
         server.stop(drain=True)
-
-    print()
-    print("   the cluster tier speaks the same protocol: the router samples,")
-    print("   ships a trace carrier over the shard pipe, and grafts the")
-    print("   shard's spans under its routing span; its GET /metrics merges")
-    print('   every shard registry with shard="NN" labels, and GET /quality')
-    print("   sums the shards' windowed joins/hits before re-dividing.")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from .functional import (
     cosine_similarity,
     cross_entropy,
     dropout,
-    gather_rows,
     l2_normalize,
     log_softmax,
     masked_fill,
@@ -47,7 +46,6 @@ __all__ = [
     "dropout",
     "gather_at",
     "gather_last",
-    "gather_rows",
     "get_default_dtype",
     "gradcheck",
     "is_grad_enabled",

@@ -244,11 +244,6 @@ def masked_fill(x: Tensor, mask: ArrayLike, value: float) -> Tensor:
     )
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Differentiable row lookup: the core of every embedding layer."""
-    return table[np.asarray(indices, dtype=np.int64)]
-
-
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 

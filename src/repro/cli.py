@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "POST /checkin and history-less "
                                    "POST /predict {\"user_id\": ...}")
     serve_parser.add_argument("--shards", type=int, default=16,
-                              help="state-store lock stripes (with --stateful, "
-                                   "--persist or --cluster)")
+                              help="state-store lock stripes (with --stateful "
+                                   "or --persist)")
     serve_parser.add_argument("--gap-hours", type=float, default=None,
                               dest="gap_hours",
                               help="session-split gap Δt in hours "
@@ -103,10 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="durable serving: log every acknowledged "
                                    "check-in to DIR and recover state from it "
                                    "on start (implies --stateful)")
-    serve_parser.add_argument("--cluster", type=int, default=None, metavar="N",
-                              help="serve through N shard worker processes "
-                                   "with consistent-hash user routing "
-                                   "(needs --checkpoint and --persist)")
     serve_parser.add_argument("--fsync", default="rotate",
                               choices=("always", "rotate", "never"),
                               help="event-log fsync policy (with --persist): "
@@ -232,61 +228,6 @@ def _store_config(args):
     )
 
 
-def _cmd_serve_cluster(args) -> int:
-    """``repro serve --cluster N --checkpoint CKPT --persist DIR``."""
-    from .cluster import ClusterConfig, ClusterRouter
-    from .serve import HttpFrontend
-
-    if not args.checkpoint:
-        print("serve: --cluster needs --checkpoint (every shard loads "
-              "its model from it)", file=sys.stderr)
-        return 2
-    if not args.persist:
-        print("serve: --cluster needs --persist DIR (each shard keeps its "
-              "event log and snapshots under DIR/shard-NN/)", file=sys.stderr)
-        return 2
-    try:
-        config = ClusterConfig(
-            num_shards=args.cluster,
-            fsync=args.fsync,
-            snapshot_interval=args.snapshot_interval,
-            server=_server_config(args),
-            store=_store_config(args),
-        )
-        router = ClusterRouter(args.checkpoint, args.persist, config=config)
-    except FileNotFoundError:
-        print(f"serve: checkpoint not found: {args.checkpoint}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-    router.start()
-    front = HttpFrontend(router, host=args.host, port=args.port)
-    print(f"cluster serving on {front.url}  ({args.cluster} shards, "
-          f"persist={args.persist}, fsync={args.fsync}, "
-          f"snapshot every {args.snapshot_interval} events)")
-    for shard in router.shards:
-        print(f"  shard {shard.spec.shard_index}: pid {shard.pid}  "
-              f"recovery {shard.last_recovery}")
-    print(f"  POST {front.url}/checkin    POST {front.url}/predict")
-    print(f"  GET  {front.url}/healthz    GET  {front.url}/stats")
-    print(f"  GET  {front.url}/metrics    GET  {front.url}/debug/slow")
-    print(f"  GET  {front.url}/quality")
-    try:
-        front.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        # a second Ctrl-C must not abort the shutdown that writes the
-        # final snapshots; router.stop() is bounded (it kills a shard
-        # that does not exit in time)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        print("\nshutting down (final snapshots)...")
-        front.stop()
-        router.stop()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -380,13 +321,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "serve":
         from .serve import HttpFrontend, InferenceServer
 
-        if args.cluster is not None:
-            return _cmd_serve_cluster(args)
-
         state_store = None
         ingest = None
         if args.persist:
-            # durable single-process tier: recover, then log every ack
+            # durable serving: recover, then log every ack
             from .cluster import DurableIngest, EventLogWriter, recover_store
 
             try:

@@ -1,25 +1,16 @@
-"""repro.cluster: durable event-log persistence and multi-process serving.
+"""repro.cluster: durable event-log persistence for the serving process.
 
-Three layers on top of :mod:`repro.stream` and :mod:`repro.serve`:
-
-* **Durability** (:mod:`.wal`, :mod:`.snapshot`, :mod:`.recovery`) — an
-  append-only event log plus periodic store snapshots; recovery is
-  "load newest snapshot, fold the log tail".
-* **Process pool** (:mod:`.worker`) — shard worker subprocesses
-  wrapping :class:`~repro.serve.server.InferenceServer`, each loading
-  the router's pinned copy of the checkpoint with the single-process
-  tier's :func:`~repro.serve.checkpoint.load_checkpoint`.
-* **Routing** (:mod:`.ring`, :mod:`.router`) — a consistent-hash
-  router that owns the worker pool, supervises heartbeats, and answers
-  the single-process server's JSON request surface, so
-  :class:`~repro.serve.server.HttpFrontend` serves it unchanged
-  (``HttpFrontend(router)``).
+The package holds durability only, on top of :mod:`repro.stream`:
+:mod:`.wal` (an append-only, segmented event log), :mod:`.snapshot`
+(periodic store snapshots) and :mod:`.recovery` (load the newest
+snapshot, fold the log tail).  :class:`DurableIngest` logs every
+acknowledged check-in, and ``repro serve --persist DIR`` hands it to
+one :class:`~repro.serve.server.InferenceServer` as its ``ingest=``, so
+a restarted process serves exactly the state it acknowledged before a
+crash.
 """
 
 from .recovery import DurableIngest, RecoveryResult, recover_store
-from .ring import HashRing
-from .router import ClusterConfig, ClusterRouter
-from .worker import ShardError, ShardHandle, WorkerSpec
 from .snapshot import (
     SNAPSHOT_FORMAT,
     SnapshotError,
@@ -41,12 +32,6 @@ __all__ = [
     "DurableIngest",
     "RecoveryResult",
     "recover_store",
-    "ClusterConfig",
-    "ClusterRouter",
-    "HashRing",
-    "ShardError",
-    "ShardHandle",
-    "WorkerSpec",
     "SNAPSHOT_FORMAT",
     "SnapshotError",
     "list_snapshots",

@@ -68,7 +68,7 @@ def recover_store(
     directory,
     config: Optional[StoreConfig] = None,
 ) -> RecoveryResult:
-    """Rebuild a shard's store from its persistence directory.
+    """Rebuild a store from its persistence directory.
 
     Load the newest snapshot (none → empty store), then fold every log
     record with ``seq`` past it.  A torn final record is skipped with a
@@ -126,7 +126,7 @@ class DurableIngest(StreamIngest):
     so dropping it on recovery is correct.  Apply and log happen under
     one internal lock, so the log's replay order always matches the
     store's apply order even when many threads ingest concurrently
-    (the single-process durable tier sits behind a
+    (the durable serving process sits behind a
     ``ThreadingHTTPServer``).  ``maybe_snapshot`` rolls a snapshot (and
     prunes covered log segments) every ``snapshot_interval``
     acknowledged events; it takes the same lock, so any thread may call

@@ -69,8 +69,8 @@ def save_snapshot(store: UserStateStore, directory, last_seq: int) -> Path:
 
     The caller guarantees the store is quiescent and that every append
     up to and including log seq ``last_seq`` — and none after — is
-    reflected in it (the shard worker's single data-loop thread makes
-    this trivially true).
+    reflected in it (``DurableIngest.maybe_snapshot`` holds the ingest
+    lock across the snapshot to make this true).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -105,7 +105,7 @@ def save_snapshot(store: UserStateStore, directory, last_seq: int) -> Path:
             "rollovers": stats["sessions_rolled"],
             "forced_rolls": stats["forced_rolls"],
             # lifetime incremental-graph counters ride along so a
-            # recovered shard's /stats keeps the pre-crash totals; the
+            # recovered process's /stats keeps the pre-crash totals; the
             # graphs themselves are never persisted — they are a pure
             # function of the session deque and re-materialise lazily
             # on the first post-recovery rollover

@@ -1,8 +1,8 @@
-"""Append-only check-in event log: the durability floor of the cluster.
+"""Append-only check-in event log: the durability floor of serving.
 
-One :class:`EventLogWriter` per shard appends every acknowledged
-:class:`~repro.stream.events.CheckinEvent` as a JSON line carrying a
-monotonically increasing ``seq`` number::
+One :class:`EventLogWriter` per persistence directory appends every
+acknowledged :class:`~repro.stream.events.CheckinEvent` as a JSON line
+carrying a monotonically increasing ``seq`` number::
 
     {"seq": 42, "user_id": 7, "poi_id": 3, "timestamp": 12.5}
 
@@ -88,7 +88,7 @@ class EventLogWriter:
     """Appends events to segmented JSON-line log files.
 
     One writer per log directory, but that writer may be shared by many
-    threads: the single-process durable tier sits behind a
+    threads: the durable serving process sits behind a
     ``ThreadingHTTPServer``, so ``append``/``rotate``/``prune`` hold an
     internal lock, keeping seq numbers dense and monotonic and record
     lines unterleaved no matter which thread acknowledges the event.
@@ -235,8 +235,8 @@ def remove_dead_segments(directory, last_seq: int) -> List[Path]:
     leaves ``wal-<last_seq + 1>`` on disk holding nothing replayable
     (an empty file, or a single torn record).  Recovery seeds the next
     writer with ``next_seq = last_seq + 1``, whose exclusive create
-    would collide with that leftover and crash-loop the shard under the
-    supervisor — so recovery clears such segments first.  Only segments
+    would collide with that leftover and fail every restart — so
+    recovery clears such segments first.  Only segments
     named past ``last_seq`` can be dead: a segment is named after the
     first seq written into it, so one holding any valid record would
     have pushed ``last_seq`` to or past its own name.

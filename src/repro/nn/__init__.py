@@ -10,8 +10,6 @@ from .layers import (
     LeakyReLU,
     Linear,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 from .module import Module, ModuleList, Parameter, Sequential
 from .rnn import GRU, GRUCell, LSTM, DilatedLSTM, LSTMCell
@@ -35,8 +33,6 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
     "causal_mask",
     "key_padding_mask",
 ]

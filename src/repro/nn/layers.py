@@ -143,16 +143,6 @@ class LeakyReLU(Module):
         return x.leaky_relu(self.slope)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class Flatten(Module):
     """Flatten all but the leading (batch) dimension."""
 

@@ -6,8 +6,8 @@ Five layers, importable with no dependency on the rest of :mod:`repro`
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket
   histograms, and sliding-window counters in a :class:`MetricsRegistry`;
 * :mod:`repro.obs.tracing` — trace/span request timelines with
-  thread-local, future-hand-off, and cross-process (carrier dict)
-  propagation, plus the :class:`SlowRing` behind ``/debug/slow``;
+  thread-local and future-hand-off propagation, plus the
+  :class:`SlowRing` behind ``/debug/slow``;
 * :mod:`repro.obs.expo` — Prometheus text rendering/parsing and the
   scrape differ behind ``repro obs-report``;
 * :mod:`repro.obs.quality` — live prequential Recall@K/MRR/NDCG joined
@@ -36,7 +36,7 @@ from .tracing import (
     span_creation_count,
 )
 from .expo import diff_scrapes, format_report, parse_prometheus, render_prometheus
-from .quality import STRATA, QualityMonitor, cold_start_stratum, merge_summaries
+from .quality import STRATA, QualityMonitor, cold_start_stratum
 from .drift import DriftDetector
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "render_prometheus",
     "QualityMonitor",
     "cold_start_stratum",
-    "merge_summaries",
     "STRATA",
     "DriftDetector",
 ]

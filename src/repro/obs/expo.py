@@ -1,13 +1,11 @@
 """Prometheus text exposition: render, parse, and diff scrapes.
 
 :func:`render_prometheus` turns registry snapshots (the JSON-safe dicts
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces, possibly
-shipped over a pipe from shard processes) into the Prometheus text
-format ``GET /metrics`` serves: ``# HELP``/``# TYPE`` headers, counters
-with a ``_total`` suffix, histograms as cumulative ``_bucket{le=...}``
-series plus ``_sum``/``_count``.  Values are labelled; the cluster
-frontend stamps ``shard="NN"`` onto shard snapshots before rendering so
-one scrape covers the whole ring.
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces) into the
+Prometheus text format ``GET /metrics`` serves: ``# HELP``/``# TYPE``
+headers, counters with a ``_total`` suffix, histograms as cumulative
+``_bucket{le=...}`` series plus ``_sum``/``_count``.  Values carry
+their instruments' labels.
 
 :func:`parse_prometheus` is the tiny stdlib reverse map — enough to
 validate a scrape in CI and to power :func:`diff_scrapes`, which turns
@@ -69,11 +67,10 @@ def _format_value(value: float) -> str:
 def render_prometheus(snapshots: Sequence[Dict], *, timestamp: Optional[float] = None) -> str:
     """Registry snapshot dicts → Prometheus text format.
 
-    Snapshots from several registries (server + per-shard) concatenate
-    naturally: series with the same name but different labels group
-    under one HELP/TYPE header.  Counter names get the conventional
-    ``_total`` suffix here, at the exposition edge, so in-process code
-    keeps the bare name.
+    Snapshots from several registries concatenate naturally: series
+    with the same name but different labels group under one HELP/TYPE
+    header.  Counter names get the conventional ``_total`` suffix here,
+    at the exposition edge, so in-process code keeps the bare name.
     """
     # Group by exposition name, preserving first-seen order.
     groups: Dict[str, List[Dict]] = {}

@@ -16,11 +16,11 @@ all zero-dependency and JSON-serialisable:
   — the old unbounded latency lists grew with every request.
 
 :class:`MetricsRegistry` is the instrument directory: get-or-create by
-``(name, labels)``, snapshot to JSON-safe dicts (pipe/HTTP shippable),
-and merge snapshots from other processes under extra labels (the
-cluster router stamps ``shard="NN"``).  A process-global default
-registry (:func:`get_registry`) serves components created standalone;
-an :class:`~repro.serve.server.InferenceServer` builds its own so two
+``(name, labels)``, snapshot to JSON-safe dicts, and adopt another
+registry's instruments (:meth:`~MetricsRegistry.adopt`).  A
+process-global default registry (:func:`get_registry`) serves
+components created standalone; an
+:class:`~repro.serve.server.InferenceServer` builds its own so two
 servers in one process (tests, multi-tenant) never share counters.
 """
 

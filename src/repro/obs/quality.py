@@ -25,8 +25,7 @@ closes that loop on the serving path itself:
   stratified by **cold-start bucket** — ``"0"``, ``"1"``, ``"2+"``
   prior sessions — as :class:`~repro.obs.metrics.WindowedCounter`
   instruments in a shared :class:`MetricsRegistry`, so the numbers ride
-  the existing Prometheus exposition and merge across shard processes
-  by the same snapshot discipline as histograms.
+  the existing Prometheus exposition.
 
 Rank accounting (mirrored by the tests, exact by construction): the
 label's rank is its 1-based position in the *stored top-K* list, a miss
@@ -38,7 +37,7 @@ consistent point-in-time estimate.
 Durability: the pending ring is deliberately **ephemeral** — it is
 serving-process state, not model state.  After a crash-and-recover the
 store rebuilds from WAL+snapshot but pending predictions are gone:
-joins/expiries restart from clean counters on the recovered shard, and
+joins/expiries restart from clean counters in the recovered process, and
 no stale pre-crash entry can ever mis-join post-recovery traffic.
 """
 
@@ -51,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .metrics import MetricsRegistry, WindowedCounter
 
-__all__ = ["QualityMonitor", "cold_start_stratum", "merge_summaries", "STRATA"]
+__all__ = ["QualityMonitor", "cold_start_stratum", "STRATA"]
 
 STRATA: Tuple[str, ...] = ("0", "1", "2+")
 
@@ -80,50 +79,6 @@ def _stratum_block(
         "mrr": mrr_sum / joins if joins else 0.0,
         "ndcg": {k: (v / joins if joins else 0.0) for k, v in ndcg_sum.items()},
     }
-
-
-def _add_counts(maps) -> Dict[str, int]:
-    total: Dict[str, int] = {}
-    for counts in maps:
-        for key, value in counts.items():
-            total[key] = total.get(key, 0) + int(value)
-    return total
-
-
-def merge_summaries(reports: Sequence[Dict]) -> Dict:
-    """Merge quality reports of monitors that saw disjoint users.
-
-    ``reports`` are :meth:`QualityMonitor.summary` dicts, optionally
-    extended as a server's ``GET /quality`` report (``store_strata``,
-    ``drift``).  Counters and each stratum's raw windowed sums add, and
-    the ratios are recomputed from the sums: a mean of per-report ratios
-    would weight an idle shard equal to a busy one.  Drift stays per
-    report (each sees a different event slice, so PSI does not add);
-    ``drift_alert`` is any report's alert.
-    """
-    ks = sorted({str(k) for r in reports for k in r.get("ks", [])}, key=int)
-    merged: Dict = {
-        key: sum(r.get(key, 0) for r in reports)
-        for key in ("pending", "expired", "replaced", "evicted")
-    }
-    merged["predictions"] = _add_counts(r.get("predictions", {}) for r in reports)
-    merged["joins"] = _add_counts(r.get("joins", {}) for r in reports)
-    merged["strata"] = {}
-    for s in sorted({s for r in reports for s in r.get("strata", {})}):
-        windows = [r["strata"][s]["window"] for r in reports if s in r.get("strata", {})]
-        merged["strata"][s] = _stratum_block(
-            joins=sum(w.get("joins", 0) for w in windows),
-            hits={k: sum(w.get("hits", {}).get(k, 0) for w in windows) for k in ks},
-            mrr_sum=sum(w.get("mrr_sum", 0.0) for w in windows),
-            ndcg_sum={
-                k: sum(w.get("ndcg_sum", {}).get(k, 0.0) for w in windows) for k in ks
-            },
-        )
-    store_strata = _add_counts(r.get("store_strata", {}) for r in reports)
-    if store_strata:
-        merged["store_strata"] = store_strata
-    merged["drift_alert"] = any(r.get("drift", {}).get("alert", False) for r in reports)
-    return merged
 
 
 class _Pending:
@@ -450,8 +405,7 @@ class QualityMonitor:
         """JSON-safe report: totals, per-stratum windows, and ratios.
 
         Each stratum carries its **raw windowed sums** alongside the
-        ratios so per-shard summaries merge by addition
-        (:func:`merge_summaries`).
+        ratios, so a reader can re-derive or re-aggregate them.
         """
         strata: Dict[str, Dict] = {}
         for s in STRATA + ("all",):

@@ -1,24 +1,20 @@
-"""Request tracing: trace ids, per-stage spans, cross-process carriers.
+"""Request tracing: trace ids, per-stage spans, batch-trace grafting.
 
 A :class:`Trace` is one request's timeline: a trace id plus an append-
 only list of :class:`Span`\\ s, each a named ``[start, end)`` interval
-on the *local* monotonic clock with an optional parent (span trees).
-Propagation is three-legged, matching the three hand-offs in the
-serving stack:
+on the monotonic clock with an optional parent (span trees).
+Propagation is two-legged, matching the two hand-offs in the serving
+stack:
 
 * **thread-local** — the HTTP handler thread activates the trace
   (:func:`activate` / :func:`current_trace`), so code below it
   (validation, submit) finds it without plumbing;
 * **object capture** — the scheduler's future hand-off crosses threads,
-  so the trace rides the ``ServeRequest`` explicitly and the inference
-  thread re-activates it per request;
-* **carrier dict** — the cluster pipes cross *processes*, so the router
-  injects ``trace.carrier()`` into the payload, the shard builds a
-  child trace from it, and ships its finished spans back in the reply
-  for the router to :meth:`~Trace.graft` under its own routing span.
-  Grafting re-anchors the child's *relative* offsets at the graft
-  point: monotonic clocks are not comparable across processes, but
-  span durations and in-trace ordering are.
+  so the trace rides the ``ServeRequest`` explicitly.  The inference
+  thread records one batch-scoped trace for the work a micro-batch
+  shares, exports its spans (:meth:`~Trace.export_spans`, offsets
+  relative to its start) and :meth:`~Trace.graft`\\ s them into every
+  traced member's own trace, re-anchored at the batch's start.
 
 The hot path must not notice any of this when sampling is off:
 :func:`maybe_trace` returns ``None`` without allocating for rate 0,
@@ -57,8 +53,8 @@ _trace_counter = itertools.count()
 
 
 def _new_trace_id() -> str:
-    # pid + counter + 32 random bits: unique across the cluster's shard
-    # processes without coordination, cheap, and grep-able in logs.
+    # pid + counter + 32 random bits: unique across processes without
+    # coordination, cheap, and grep-able in logs.
     return f"{os.getpid():x}-{next(_trace_counter):x}-{random.getrandbits(32):08x}"
 
 
@@ -100,8 +96,8 @@ class Trace:
 
     __slots__ = ("trace_id", "spans", "started_at", "wall_started_at", "_lock", "_stack")
 
-    def __init__(self, trace_id: Optional[str] = None):
-        self.trace_id = trace_id if trace_id is not None else _new_trace_id()
+    def __init__(self):
+        self.trace_id = _new_trace_id()
         self.spans: List[Span] = []
         self.started_at = time.monotonic()
         self.wall_started_at = time.time()
@@ -163,23 +159,13 @@ class Trace:
                 self.spans[stack[-1]].tag(**tags)
 
     # ------------------------------------------------------------------
-    # cross-process propagation
+    # hand-off between traces
     # ------------------------------------------------------------------
-    def carrier(self) -> Dict[str, object]:
-        """The wire form: enough for a child process to join the trace."""
-        return {"trace_id": self.trace_id, "sampled": True}
-
-    @classmethod
-    def from_carrier(cls, carrier: Optional[Dict]) -> Optional["Trace"]:
-        if not carrier or not carrier.get("sampled"):
-            return None
-        return cls(trace_id=str(carrier.get("trace_id", "")) or None)
-
     def export_spans(self) -> List[Dict]:
         """Spans as JSON-safe dicts, times *relative to trace start*.
 
-        Relative offsets are the only portable form: the child process's
-        monotonic clock shares no epoch with the parent's.
+        Relative offsets let :meth:`graft` place the spans in another
+        trace at any anchor.
         """
         with self._lock:
             return [
@@ -195,13 +181,13 @@ class Trace:
 
     def graft(self, exported: Sequence[Dict], parent: Optional[int] = None,
               anchor: Optional[float] = None) -> None:
-        """Attach another process's exported spans under ``parent``.
+        """Attach another trace's exported spans under ``parent``.
 
-        ``anchor`` is the local monotonic time the remote work began
-        (defaults to now minus the remote spans' total extent — i.e.
-        right-aligned, since the reply just arrived).  Remote offsets
-        are re-based onto the local clock at the anchor; remote
-        parent indices are shifted; remote roots adopt ``parent``.
+        ``anchor`` is the monotonic time the exported work began
+        (defaults to now minus the exported spans' total extent — i.e.
+        right-aligned, for work that just finished).  Exported offsets
+        are re-based at the anchor; exported parent indices are
+        shifted; exported roots adopt ``parent``.
         """
         if not exported:
             return

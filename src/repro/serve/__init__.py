@@ -27,11 +27,10 @@ Entry points
 * :class:`HttpFrontend` — the stdlib HTTP/JSON front door
   (``/predict``, ``/recommend``, ``/checkin``, ``/reload``,
   ``/healthz``, ``/stats``, ``/metrics``, ``/quality``,
-  ``/debug/slow``) of both tiers: it serves an
-  :class:`InferenceServer` or a :class:`~repro.cluster.ClusterRouter`,
-  which answer the same ``checkin_json``/``predict_json``/
-  ``reload_json`` request surface; request/response codecs are
-  :func:`sample_from_json` / :func:`result_to_json`;
+  ``/debug/slow``) of an :class:`InferenceServer`, through its
+  ``checkin_json``/``predict_json``/``reload_json`` request surface;
+  request/response codecs are :func:`sample_from_json` /
+  :func:`result_to_json`;
 * :func:`compare_throughput` — uncached vs cached (batches of one) vs
   batched vs compiled float32 serving microbench (the batched leg
   reports latency percentiles);

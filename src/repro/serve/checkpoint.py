@@ -123,9 +123,9 @@ def apply_extra_state(model, extra: Dict[str, np.ndarray], strict: bool = True) 
 def build_dataset_from_meta(meta, path="<checkpoint>"):
     """Rebuild the dataset a checkpoint's ``meta`` recipe describes.
 
-    The recipe is seeded, so every loader — each cluster shard process
-    included — rebuilds the *identical* dataset without shipping it
-    across a process boundary.
+    The recipe is seeded, so every loader — a restarted serving process
+    included — rebuilds the *identical* dataset without the checkpoint
+    carrying it.
     """
     from ..data import build_dataset
 

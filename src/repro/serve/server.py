@@ -9,30 +9,23 @@ service.  Three layers, composable and individually testable:
   :class:`~repro.serve.predictor.Predictor` over the caller's model.
   A batch is one small encode plus the two-step ranking, Python-bound
   work that holds the GIL, so a second inference thread adds
-  contention, not throughput; the cluster scales by processes instead.
+  contention, not throughput.
   :meth:`InferenceServer.reload_weights` loads into that model, and
   the Predictor's embedding cache refreshes itself via the
   ``weights_version`` token.
 * the JSON request surface — :meth:`InferenceServer.checkin_json`,
-  :meth:`~InferenceServer.predict_json`,
-  :meth:`~InferenceServer.reload_json` and
-  :meth:`~InferenceServer.result_json` turn one request body into one
+  :meth:`~InferenceServer.predict_json` and
+  :meth:`~InferenceServer.reload_json` turn one request body into one
   ``(status, body)`` pair.  Validation, backpressure, shutdown and
-  timeouts map to status codes here and nowhere else: the cluster's
-  shard workers (:mod:`repro.cluster.worker`) answer through the same
-  calls.
+  timeouts map to status codes here and nowhere else.
 * :class:`HttpFrontend` — a stdlib-only HTTP/JSON front door
   (``/predict``, ``/recommend``, ``/checkin``, ``/reload``,
   ``/healthz``, ``/stats``, ``/metrics``, ``/quality``,
-  ``/debug/slow``) on a threading HTTP server.  One handler serves
-  both tiers: an :class:`InferenceServer`, or a
-  :class:`~repro.cluster.router.ClusterRouter` that answers the same
-  JSON surface by routing each body to a shard process.  Each
-  connection thread blocks on its request future while the scheduler
-  coalesces concurrent requests into micro-batches.
+  ``/debug/slow``) on a threading HTTP server.  Each connection thread
+  blocks on its request future while the scheduler coalesces
+  concurrent requests into micro-batches.
 
-:class:`ServerConfig` holds the batching/backpressure knobs of
-both tiers (a cluster ships one to every shard).
+:class:`ServerConfig` holds the batching/backpressure knobs.
 
 Stateful serving (``state_store=``): the server owns per-user check-in
 state (:mod:`repro.stream`).  ``POST /checkin`` appends one arrival —
@@ -41,6 +34,13 @@ graph entry from the server's graph cache — and a history-less
 ``POST /predict {"user_id": ...}`` resolves the stored history into an
 immutable snapshot sample *before* batching, so stateful and stateless
 requests ride the same micro-batching scheduler side by side.
+
+Durable serving (``ingest=`` a
+:class:`~repro.cluster.recovery.DurableIngest`; CLI ``repro serve
+--persist DIR``): every acknowledged check-in is logged and snapshots
+roll on the serving path, so a restarted process recovers exactly the
+state it acknowledged.  Restarting a crashed process is the
+deployment's job.
 
 Request identity: a request's result is exactly what a direct
 ``Predictor.predict_batch([sample])`` would return — micro-batch
@@ -89,6 +89,9 @@ from .predictor import LATENCY_PERCENTILES, Predictor, ServeStats
 from .protocol import PredictorResult, result_to_json, sample_from_json
 from .scheduler import MicroBatchScheduler, QueueFullError, SchedulerClosedError
 
+#: Sampled traces kept for ``GET /debug/slow``: the slowest recent ones.
+SLOW_RING_SIZE = 64
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -106,14 +109,13 @@ class ServerConfig:
     default) serves eagerly, with no plan cache; ``float32`` serves
     through compiled float32 plans (see :mod:`repro.serve.plans`), at
     most ``plan_cache_size`` of them live.  Any other dtype is
-    rejected here, so a cluster never ships an unusable config to its
-    shards.
+    rejected here, before a server is built on it.
 
     ``trace_sample`` is the request-tracing sampling rate (0..1).  The
     default 0 keeps the hot path allocation-free — no Trace or Span
     objects exist anywhere; 0.01 (the CLI serving default) traces 1%
-    of requests into the ``/debug/slow`` ring of ``slow_ring_size``
-    worst-recent exemplars.
+    of requests into the ``/debug/slow`` ring of the
+    :data:`SLOW_RING_SIZE` worst-recent exemplars.
 
     ``quality_window`` is the sliding window (seconds) of the live
     prequential quality estimators on a *stateful* server (``0``
@@ -129,7 +131,6 @@ class ServerConfig:
     plan_dtype: str = "float64"
     plan_cache_size: int = 32
     trace_sample: float = 0.0
-    slow_ring_size: int = 64
     quality_window: float = 3600.0
     quality_topk: int = 20
 
@@ -140,8 +141,6 @@ class ServerConfig:
             )
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ValueError("trace_sample must be within [0, 1]")
-        if self.slow_ring_size < 1:
-            raise ValueError("slow_ring_size must be >= 1")
         if self.quality_window < 0:
             raise ValueError("quality_window must be >= 0 (0 disables)")
         if self.quality_topk < 1:
@@ -174,7 +173,7 @@ class InferenceServer:
         # instruments here, so /stats and /metrics are two renderings
         # of the same instruments rather than parallel bookkeeping.
         self.registry = MetricsRegistry()
-        self.slow_ring = SlowRing(self.config.slow_ring_size)
+        self.slow_ring = SlowRing(SLOW_RING_SIZE)
         self.scheduler = MicroBatchScheduler(
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
@@ -222,8 +221,9 @@ class InferenceServer:
         # O(session)-updated replacement into the cache so the next
         # predict is a hit instead of a rebuild.
         # A caller-supplied ``ingest`` (e.g. repro.cluster's
-        # DurableIngest, which logs every acknowledged event) replaces
-        # the default pipeline; its store becomes the server's.
+        # DurableIngest, which logs every acknowledged event, for
+        # ``repro serve --persist``) replaces the default pipeline; its
+        # store becomes the server's.
         if ingest is not None:
             if state_store is not None and state_store is not ingest.store:
                 raise ValueError("pass either state_store or ingest, not both")
@@ -246,8 +246,7 @@ class InferenceServer:
         # joins each user's next check-in against the pending
         # prediction; the same hook feeds the drift detector's
         # POI/tile sketches.  All instruments live in ``self.registry``
-        # so /metrics (and the cluster's shard-merged scrape) carry
-        # them with zero extra plumbing.
+        # so /metrics carries them with zero extra plumbing.
         self.quality: Optional[QualityMonitor] = None
         self.drift: Optional[DriftDetector] = None
         if self.stream is not None and self.config.quality_window > 0:
@@ -443,8 +442,10 @@ class InferenceServer:
         history-less form ``{"user_id": ...}``, resolved from the state
         store (404 for a user it has never seen); any other body is a
         :func:`~repro.serve.protocol.sample_from_json` request.  Bad
-        bodies are 400s, backpressure 429, shutdown 503, and the wait
-        is :meth:`result_json`'s.
+        bodies are 400s, backpressure 429, shutdown 503, a batch that
+        raised 500, and a wait past ``request_timeout_s`` 504 (the
+        request is cancelled, so the server does not later spend a
+        batch slot on a result nobody waits for).
         """
         k = payload.get("k", 10)
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -486,22 +487,6 @@ class InferenceServer:
             return 429, {"error": str(error), **self.scheduler.stats()}
         except SchedulerClosedError as error:
             return 503, {"error": str(error)}
-        status, body = self.result_json(future, k)
-        if recommend and status == 200:
-            body = {
-                "user_id": sample.user_id,
-                "recommendations": body["top_pois"],
-                "num_pois": body["num_pois"],
-            }
-        return status, body
-
-    def result_json(self, future: Future, k: int) -> Tuple[int, Dict]:
-        """Wait for one submitted request and encode its top ``k``.
-
-        504 once ``request_timeout_s`` passes (the request is cancelled,
-        so the server does not later spend a batch slot on a result nobody
-        waits for), 500 when its batch raised.
-        """
         timeout = self.config.request_timeout_s
         try:
             result = future.result(timeout)
@@ -510,7 +495,14 @@ class InferenceServer:
             return 504, {"error": f"request timed out after {timeout}s"}
         except Exception as error:  # the batch raised
             return 500, {"error": str(error)}
-        return 200, result_to_json(result, k=k)
+        body = result_to_json(result, k=k)
+        if recommend:
+            body = {
+                "user_id": sample.user_id,
+                "recommendations": body["top_pois"],
+                "num_pois": body["num_pois"],
+            }
+        return 200, body
 
     def reload_json(self, payload: Dict) -> Tuple[int, Dict]:
         """``POST /reload {"checkpoint": path}``: 200 with the new
@@ -716,8 +708,7 @@ class InferenceServer:
         ``{"enabled": false}`` on a stateless server (no labels can
         ever arrive) or when ``quality_window=0`` switched the monitor
         off.  Per-stratum blocks carry raw windowed sums alongside the
-        ratios, which is what lets the cluster router merge shard
-        reports by addition (:func:`~repro.obs.quality.merge_summaries`).
+        ratios.
         """
         if self.quality is None:
             return {"enabled": False}
@@ -741,7 +732,7 @@ _POST_PATHS = ("/predict", "/recommend", "/checkin", "/reload")
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """The HTTP handler of both serving tiers.
+    """The HTTP handler of the serving runtime.
 
     ``self.server.app`` is the :class:`HttpFrontend`'s app.  Every POST
     endpoint is one ``(status, body)`` call on it, so this class only
@@ -750,6 +741,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # A response is two writes (headers, then body).  With Nagle's
+    # algorithm on, a keep-alive connection holds the body until the
+    # client's delayed ACK of the headers, about 40 ms per response.
+    disable_nagle_algorithm = True
 
     # the runtime's stats cover observability; per-request access
     # logging on stderr would just add noise to benchmarks
@@ -782,11 +777,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         app = self.server.app
         if self.path == "/healthz":
-            health = app.healthz()
-            # only a cluster with a shard down is unhealthy; a draining
-            # single-process server still answers
-            status = 503 if health["status"] in ("degraded", "down") else 200
-            self._send_json(status, health)
+            # a draining server still answers ("stopping")
+            self._send_json(200, app.healthz())
         elif self.path == "/stats":
             self._send_json(200, app.stats())
         elif self.path == "/metrics":
@@ -816,9 +808,8 @@ class _Handler(BaseHTTPRequestHandler):
         app = self.server.app
         # Sampled request tracing: the trace is thread-local for the
         # rest of this handler (submit captures it onto the
-        # ServeRequest; a check-in's WAL append and the cluster's
-        # routing span see it directly) and reaches the app's slow ring
-        # once the response is written.
+        # ServeRequest; a check-in's WAL append sees it directly) and
+        # reaches the app's slow ring once the response is written.
         trace = maybe_trace(app.trace_sample)
         try:
             with activate(trace):
@@ -841,18 +832,15 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class HttpFrontend:
-    """Serve an app over HTTP/JSON: an :class:`InferenceServer`, or a
-    :class:`~repro.cluster.router.ClusterRouter` in front of shard
-    processes.
+    """Serve an :class:`InferenceServer` over HTTP/JSON.
 
     Endpoints: ``POST /predict`` and ``POST /recommend`` (see
     :func:`~repro.serve.protocol.sample_from_json` for the body
     schema; on a stateful app a body without ``prefix`` is the
     history-less form ``{"user_id": ...}`` served from the state
     store), ``POST /checkin`` (``{"user_id", "poi_id", "timestamp"}``,
-    stateful apps only), ``POST /reload`` (``{"checkpoint": path}``;
-    a cluster answers 501), ``GET /healthz`` (503 only for a cluster
-    with a shard down), ``GET /stats``, ``GET /metrics`` (Prometheus
+    stateful apps only), ``POST /reload`` (``{"checkpoint": path}``),
+    ``GET /healthz``, ``GET /stats``, ``GET /metrics`` (Prometheus
     text), ``GET /quality`` (live prequential accuracy by cold-start
     stratum plus drift gauges; stateful apps) and
     ``GET /debug/slow?n=10`` (the worst recent traced requests as span

@@ -2,9 +2,8 @@
 
 Everything here is in-process (no subprocesses): the event log's
 torn-write contract, snapshot round-trips, the recovery fold's
-exactness against a never-persisted control store, the DurableIngest
-ack-is-commit ordering, and the consistent-hash ring's determinism
-and balance.
+exactness against a never-persisted control store, and the
+DurableIngest ack-is-commit ordering.
 """
 
 import json
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 from repro.cluster import (
     DurableIngest,
     EventLogWriter,
-    HashRing,
     SnapshotError,
     WalCorruptionError,
     list_segments,
@@ -534,7 +532,7 @@ class TestRecovery:
     def test_recovery_clears_dead_trailing_segment(self, tmp_path, leftover):
         """A crash can leave wal-<last_seq+1> holding no valid record;
         recovery must remove it or the next writer's exclusive create
-        collides and the shard crash-loops under the supervisor."""
+        collides and every restart of the serving process fails."""
         with EventLogWriter(tmp_path) as log:
             for event in drifting_events(5):
                 log.append(event)
@@ -555,48 +553,3 @@ class TestRecovery:
             assert durable.maybe_snapshot() is None  # interval not reached
             path = durable.maybe_snapshot(force=True)
             assert path is not None and path.exists()
-
-
-# ----------------------------------------------------------------------
-# consistent-hash ring
-# ----------------------------------------------------------------------
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        first = HashRing(range(4))
-        second = HashRing(range(4))
-        assert all(
-            first.shard_for(user) == second.shard_for(user) for user in range(500)
-        )
-
-    def test_pinned_routing(self):
-        # md5-based placement is process-independent: these values must
-        # never drift, or a router restart would strand durable state
-        ring = HashRing(range(4))
-        assert [ring.shard_for(user) for user in range(8)] == [
-            ring.shard_for(user) for user in range(8)
-        ]
-        assert ring.shard_for(0) == HashRing(range(4)).shard_for(0)
-
-    def test_reasonable_balance(self):
-        ring = HashRing(range(4))
-        counts = ring.distribution(range(2000))
-        assert min(counts.values()) > 0.6 * (2000 / 4)
-        assert max(counts.values()) < 1.5 * (2000 / 4)
-
-    def test_incremental_reshard(self):
-        users = range(2000)
-        before = HashRing(range(4))
-        after = HashRing(range(5))
-        moved = sum(
-            1 for u in users if before.shard_for(u) != after.shard_for(u)
-        )
-        # consistent hashing moves ~1/5 of users; a modulo ring moves ~4/5
-        assert moved < 0.35 * 2000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashRing([])
-        with pytest.raises(ValueError):
-            HashRing([0, 0])
-        with pytest.raises(ValueError):
-            HashRing([0], vnodes=0)

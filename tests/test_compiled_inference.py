@@ -17,7 +17,6 @@ import pytest
 
 from repro.autograd import Tensor, TraceError
 from repro.baselines import MarkovChain
-from repro.cluster import ClusterConfig, ClusterRouter
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
 from repro.data.trajectory import PredictionSample, Trajectory, Visit
@@ -28,7 +27,6 @@ from repro.serve import (
     Predictor,
     compare_throughput,
     sample_from_json,
-    save_checkpoint,
     supports_plans,
 )
 from repro.stream import events_from_checkins, prequential_replay
@@ -108,7 +106,7 @@ def _float64_plan(model, batch, shared):
 class _Float64Plans:
     """A ``Predictor`` plan source tracing float64 plans, one per bucket.
 
-    The serving tiers never replay float64; this stands in for a plan
+    Serving never replays float64; this stands in for a plan
     cache so a replay through the ``Predictor`` facade can be checked
     bit for bit against eager.
     """
@@ -458,18 +456,16 @@ class TestPlanCacheBehaviour:
 
 
 class TestEagerFloat64Serving:
-    def test_serving_surfaces_build_no_plan_cache(self, tiny, tmp_path, monkeypatch):
+    def test_serving_surfaces_build_no_plan_cache(self, tiny, monkeypatch):
         """At the default float64, every serving surface is eager.
 
         ``Predictor(model)``, ``make_predictor`` and ``InferenceServer``
         build no plan cache, never trace a plan, and answer exactly as
-        ``compile=False`` does; so does a cluster shard process at the
-        ``SHARD_SERVER`` defaults (its ``/stats`` plans section).
+        ``compile=False`` does.
         """
         dataset, splits = tiny
         model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
         model.eval()
-        checkpoint = save_checkpoint(model, tmp_path / "tiny.npz", dataset=dataset)
         payloads = [
             {
                 "user_id": s.user_id,
@@ -505,13 +501,6 @@ class TestEagerFloat64Serving:
             assert [server.predict(s, timeout=30.0).top_k(10) for s in batch] == want
 
         assert traces == []
-
-        config = ClusterConfig(num_shards=1, auto_restart=False)
-        with ClusterRouter(checkpoint, tmp_path / "cluster", config=config) as router:
-            replies = [router.predict(p) for p in payloads]
-            (shard,) = router.stats()["cluster"]["shards"]
-        assert shard["plans"] == {"enabled": False}
-        assert [reply["result"]["top_pois"] for reply in replies] == want
 
 
 # ----------------------------------------------------------------------

@@ -380,7 +380,7 @@ class TestStoreIntegration:
 
 
 # ----------------------------------------------------------------------
-# snapshot / recovery: a restored shard converges to identical graphs
+# snapshot / recovery: a restored store converges to identical graphs
 # ----------------------------------------------------------------------
 class TestRecoveryGraphIdentity:
     def test_recovered_store_graphs_match_never_crashed_live(self, world, tmp_path):

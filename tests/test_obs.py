@@ -1,24 +1,24 @@
 """repro.obs: metrics core, Prometheus exposition, request tracing.
 
-Three tiers of coverage, matching the three hand-offs tracing has to
-survive: unit (instruments, render/parse/diff, span trees), single
-process end-to-end (one trace id from the HTTP handler through the
-scheduler's future into the model's encode/rank spans, visible at
-``/debug/slow``), and cross-process (router-sampled traces whose shard
-spans come back over the pipe re-parented under the routing span).
-The sampling-off legs pin the "near-free when off" contract with the
-``Span`` allocation probe — not a timing assertion, an allocation one.
+Two tiers of coverage: unit (instruments, render/parse/diff, span
+trees), and end-to-end over HTTP (one trace id from the HTTP handler
+through the scheduler's future into the model's encode/rank spans,
+visible at ``/debug/slow``; a durable server's check-in trace carrying
+its WAL append).  The sampling-off legs pin the "near-free when off"
+contract with the ``Span`` allocation probe — not a timing assertion,
+an allocation one.
 """
 
 import json
 import re
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster import DurableIngest, EventLogWriter
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset, make_samples, split_samples
 from repro.obs import (
@@ -36,7 +36,8 @@ from repro.obs import (
     span,
     span_creation_count,
 )
-from repro.serve import HttpFrontend, InferenceServer, ServerConfig, save_checkpoint
+from repro.serve import HttpFrontend, InferenceServer, ServerConfig
+from repro.stream import StoreConfig, UserStateStore, events_from_checkins
 from repro.utils import spawn
 
 CFG = dict(dim=16, fusion_layers=1, hgat_layers=1, top_k=4, num_heads=2)
@@ -297,14 +298,6 @@ class TestTracing:
             assert current_trace() is None
         assert span_creation_count() == before
 
-    def test_carrier_round_trip(self):
-        parent = Trace()
-        child = Trace.from_carrier(parent.carrier())
-        assert child is not None
-        assert child.trace_id == parent.trace_id
-        assert Trace.from_carrier(None) is None
-        assert Trace.from_carrier({"sampled": False}) is None
-
     def test_graft_reparents_and_rebases(self):
         remote = Trace()
         with activate(remote):
@@ -494,114 +487,37 @@ class TestServeTracing:
 
 
 # ======================================================================
-# end-to-end: cluster
+# end-to-end: durable single process
 # ======================================================================
-@pytest.fixture(scope="module")
-def checkpoint(tiny, tmp_path_factory):
-    dataset, _ = tiny
-    model = TSPNRA.from_dataset(dataset, TSPNRAConfig(**CFG), rng=spawn(0))
-    path = tmp_path_factory.mktemp("ckpt") / "tiny.npz"
-    return save_checkpoint(model, path, dataset=dataset)
-
-
-@pytest.fixture(scope="module")
-def traced_cluster(tiny, checkpoint, tmp_path_factory):
-    """A 2-shard cluster sampling every routed request."""
-    dataset, _ = tiny
-    config = ClusterConfig(
-        num_shards=2,
-        snapshot_interval=50,
-        heartbeat_interval_s=0.5,
-        auto_restart=False,
-        server=ServerConfig(
-            max_wait_ms=2.0, request_timeout_s=30.0, trace_sample=1.0
-        ),
-    )
-    router = ClusterRouter(
-        checkpoint, tmp_path_factory.mktemp("persist"), config=config
-    )
-    router.start()
-    from repro.stream.events import events_from_checkins
-
-    events = [
-        {"user_id": e.user_id, "poi_id": e.poi_id, "timestamp": e.timestamp}
-        for e in events_from_checkins(dataset.checkins)
-    ][:40]
-    for event in events:
-        reply = router.checkin(event)
-        assert reply["ok"], reply
-    yield router, events
-    router.stop()
-
-
-@pytest.mark.slow
-class TestClusterTracing:
-    def test_shard_spans_reparented_under_router_span(self, traced_cluster):
-        router, events = traced_cluster
-        reply = router.predict_user(events[0]["user_id"], k=5)
-        assert reply["ok"], reply
-        assert "spans" not in reply  # grafted into the trace, not leaked
-        predict_traces = [
-            t
-            for t in router.slow_requests(router.slow_ring.capacity)
-            if any(s["name"] == "route.predict" for s in t["spans"])
-        ]
-        assert predict_traces
-        trace = predict_traces[0]
-        route = next(s for s in trace["spans"] if s["name"] == "route.predict")
-        child_names = set()
-        for child in route.get("children", ()):
-            _span_names(child, child_names)
-        # the shard's op envelope plus its serving stages, re-parented
-        assert "shard.predict" in child_names
-        assert "queue.wait" in child_names
-        assert "infer.batch" in child_names
-        assert child_names & {"encode", "plan.replay"}
-
-    def test_checkin_trace_carries_wal_span(self, traced_cluster):
-        router, events = traced_cluster
-        reply = router.checkin(
-            {**events[-1], "timestamp": events[-1]["timestamp"] + 9999.0}
-        )
-        assert reply["ok"], reply
-        checkin_traces = [
-            t
-            for t in router.slow_requests(router.slow_ring.capacity)
-            if any(s["name"] == "route.checkin" for s in t["spans"])
-        ]
-        assert checkin_traces
-        names = set()
-        for root in checkin_traces[0]["spans"]:
-            _span_names(root, names)
-        assert "shard.checkin" in names
-        assert "wal.append" in names
-
-    def test_cluster_metrics_aggregates_shard_labels(self, traced_cluster):
-        router, _ = traced_cluster
-        text = router.metrics_text()
-        parsed = parse_prometheus(text)
-        shard_up = {
-            dict(labels)["shard"]: value
-            for (name, labels), value in parsed.items()
-            if name == "repro_shard_up"
-        }
-        assert shard_up == {"00": 1.0, "01": 1.0}
-        shard_series = {
-            name
-            for (name, labels), _ in parsed.items()
-            if dict(labels).get("shard") in ("00", "01")
-        }
-        assert "serve_request_requests_total" in shard_series
-        assert "wal_appended" in shard_series
-        assert ("router_requests_total", ()) in parsed
-
-    def test_cluster_http_metrics_and_slow(self, traced_cluster):
-        router, _ = traced_cluster
-        with HttpFrontend(router, port=0) as front:
-            status, text = _get(f"{front.url}/metrics", parse=False)
-            assert status == 200
-            assert parse_prometheus(text)
-            status, body = _get(f"{front.url}/debug/slow?n=3")
-            assert status == 200
-            assert body["slow"]
-            assert len(body["slow"]) <= 3
+class TestDurableTracing:
+    def test_checkin_trace_carries_wal_span(self, tiny, model, tmp_path):
+        """A sampled ``POST /checkin`` on a durable server shows the
+        event-log append inside the request's own trace."""
+        dataset, _ = tiny
+        log = EventLogWriter(tmp_path)
+        ingest = DurableIngest(store=UserStateStore(StoreConfig()), log=log)
+        server = InferenceServer(
+            model, config=ServerConfig(trace_sample=1.0), dataset=dataset, ingest=ingest
+        ).start()
+        front = HttpFrontend(server, port=0).start()
+        try:
+            event = events_from_checkins(dataset.checkins)[0]
+            status, body = _post(
+                f"{front.url}/checkin",
+                {"user_id": event.user_id, "poi_id": event.poi_id,
+                 "timestamp": event.timestamp},
+            )
+            assert status == 200, body
+            # the handler offers its trace once the response is written
+            deadline = time.monotonic() + 10.0
+            while not server.slow_requests() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (trace,) = server.slow_requests()
+            names = set()
+            for root in trace["spans"]:
+                _span_names(root, names)
+            assert {"http.parse", "validate", "wal.append"} <= names
+        finally:
+            front.stop()
+            server.stop(drain=True)
+            log.close()

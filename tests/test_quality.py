@@ -4,15 +4,10 @@ HTTP identity between scraped quality metrics and offline accounting."""
 
 import json
 import math
-import os
-import signal
-import time
 import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import TSPNRA, TSPNRAConfig
 from repro.data import build_dataset
@@ -22,12 +17,10 @@ from repro.obs import (
     QualityMonitor,
     WindowedCounter,
     cold_start_stratum,
-    merge_summaries,
     parse_prometheus,
     render_prometheus,
 )
-from repro.cluster import ClusterConfig, ClusterRouter
-from repro.serve import HttpFrontend, InferenceServer, ServerConfig, save_checkpoint
+from repro.serve import HttpFrontend, InferenceServer, ServerConfig
 from repro.stream import (
     CheckinEvent,
     StoreConfig,
@@ -255,62 +248,6 @@ class TestQualityMonitor:
         assert parsed[("repro_quality_pending", ())] == 0.0
 
 
-# one labelled prediction: user, prior sessions (the cold-start stratum),
-# served ranked list, label POI, seconds since the previous prediction
-labelled_predictions = st.lists(
-    st.tuples(
-        st.integers(0, 9),
-        st.integers(0, 3),
-        st.lists(st.integers(0, 30), min_size=1, max_size=25, unique=True),
-        st.integers(0, 30),
-        st.floats(0.0, 400.0),
-    ),
-    max_size=40,
-)
-
-
-class TestMergeSummaries:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        predictions=labelled_predictions,
-        monitors=st.integers(1, 3),
-        order=st.randoms(use_true_random=False),
-    )
-    def test_merged_split_equals_one_monitor(self, predictions, monitors, order):
-        """Monitors that split the users between them merge into the
-        monitor that saw everything: counts add, ratios come from sums.
-
-        The shared fake clock ages early joins out of every window alike.
-        """
-        clock = FakeClock(0.0)
-        kwargs = dict(window_seconds=900.0, slots=6, clock=clock)
-        whole = QualityMonitor(**kwargs)
-        parts = [QualityMonitor(**kwargs) for _ in range(monitors)]
-        for user, sessions, ranked, label, elapsed in predictions:
-            clock.now += elapsed
-            sample = Sample(user, history=[()] * sessions, target=Visit(label, 0.0))
-            whole.record(sample, Result(ranked))
-            parts[user % monitors].record(sample, Result(ranked))
-        summaries = [part.summary() for part in parts]
-        order.shuffle(summaries)
-        merged = merge_summaries(summaries)
-        expected = whole.summary()
-        for key in ("predictions", "joins", "pending", "expired", "replaced", "evicted"):
-            assert merged[key] == expected[key], key
-        assert merged["strata"].keys() == expected["strata"].keys()
-        for stratum, want in expected["strata"].items():
-            got = merged["strata"][stratum]
-            assert got["window"]["joins"] == want["window"]["joins"]
-            assert got["window"]["hits"] == want["window"]["hits"]
-            assert got["recall"] == want["recall"]
-            for key in ("mrr_sum", "ndcg_sum"):
-                assert got["window"][key] == pytest.approx(
-                    want["window"][key], rel=1e-12, abs=0.0
-                )
-            for key in ("mrr", "ndcg"):
-                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
-
-
 # ----------------------------------------------------------------------
 # ingest observers
 # ----------------------------------------------------------------------
@@ -350,7 +287,7 @@ class TestIngestObservers:
     def test_pending_ring_is_ephemeral_across_recovery(self, tmp_path):
         """Satellite: after a crash-and-recover the WAL rebuilds the
         store but the pending ring is gone by design — the recovered
-        tier's counters restart clean and no pre-crash prediction can
+        process's counters restart clean and no pre-crash prediction can
         mis-join post-recovery traffic."""
         from repro.cluster import DurableIngest, EventLogWriter, recover_store
 
@@ -607,98 +544,3 @@ class TestQualityOverHttp:
         # drift rides the same report, fed by the same ingest hook
         assert report["drift"]["events"] == len(events)
         assert report["store_strata"]
-
-
-# ----------------------------------------------------------------------
-# cluster: per-shard reports merged by the router, degrading on death
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-class TestClusterQuality:
-    @pytest.fixture()
-    def cluster(self, tiny_dataset, model, tmp_path):
-        checkpoint = save_checkpoint(
-            model, tmp_path / "tiny.npz", dataset=tiny_dataset
-        )
-        config = ClusterConfig(
-            num_shards=2,
-            snapshot_interval=50,
-            heartbeat_interval_s=0.5,
-            auto_restart=False,
-        )
-        router = ClusterRouter(checkpoint, tmp_path / "persist", config=config)
-        router.start()
-        try:
-            yield router
-        finally:
-            router.stop()
-
-    def test_merge_sums_windows_and_survives_a_dead_shard(
-        self, tiny_dataset, cluster
-    ):
-        from repro.stream import events_from_checkins
-
-        events = events_from_checkins(tiny_dataset.checkins)[:60]
-        seen = set()
-        expected_predictions = 0
-        for event in events:
-            if event.user_id in seen:
-                reply = cluster.predict_user(event.user_id, k=20)
-                assert reply["ok"], reply
-                expected_predictions += 1
-            seen.add(event.user_id)
-            reply = cluster.checkin({
-                "user_id": event.user_id,
-                "poi_id": event.poi_id,
-                "timestamp": event.timestamp,
-            })
-            assert reply["ok"], reply
-
-        report = cluster.quality_report()
-        assert report["enabled"] is True
-        assert [s["status"] for s in report["shards"]] == ["ok", "ok"]
-        merged = report["cluster"]
-        shard_reports = [s["quality"] for s in report["shards"]]
-        # the cluster section is the shard sum, ratios recomputed
-        assert sum(merged["predictions"].values()) == expected_predictions
-        total_joins = sum(
-            sum(r["joins"].values()) for r in shard_reports
-        )
-        assert sum(merged["joins"].values()) == total_joins
-        window = merged["strata"]["all"]["window"]
-        assert window["joins"] == sum(
-            r["strata"]["all"]["window"]["joins"] for r in shard_reports
-        )
-        assert window["hits"]["20"] == sum(
-            r["strata"]["all"]["window"]["hits"]["20"] for r in shard_reports
-        )
-        if window["joins"]:
-            assert merged["strata"]["all"]["recall"]["20"] == pytest.approx(
-                window["hits"]["20"] / window["joins"]
-            )
-        assert isinstance(merged["drift_alert"], bool)
-
-        with HttpFrontend(cluster, port=0) as front:
-            with urllib.request.urlopen(front.url + "/quality", timeout=30) as r:
-                assert r.status == 200
-                http_report = json.loads(r.read())
-            assert http_report["enabled"] is True
-
-            # SIGKILL one shard: the report degrades, never fails
-            victim = cluster.shards[1]
-            os.kill(victim.pid, signal.SIGKILL)
-            deadline = time.time() + 10.0
-            degraded = cluster.quality_report()
-            while (
-                all(s["status"] == "ok" for s in degraded["shards"])
-                and time.time() < deadline
-            ):
-                time.sleep(0.2)
-                degraded = cluster.quality_report()
-            statuses = {s["shard"]: s["status"] for s in degraded["shards"]}
-            assert statuses[1] == "down"
-            assert statuses[0] == "ok"
-            assert degraded["enabled"] is True  # the survivor still reports
-            down = next(s for s in degraded["shards"] if s["status"] == "down")
-            assert down["error"]
-            with urllib.request.urlopen(front.url + "/quality", timeout=30) as r:
-                assert r.status == 200  # HTTP scrape degrades too, no 500

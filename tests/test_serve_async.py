@@ -2,6 +2,7 @@
 inference thread, HTTP front-end, and the thread-safety substrate
 underneath it (thread-local grad mode, locked caches and stats)."""
 
+import http.client
 import json
 import threading
 import time
@@ -607,7 +608,7 @@ class TestCompiledServing:
             assert entry["buffer_bytes"] >= 0
 
     def test_unusable_plan_dtype_rejected(self):
-        """A dtype no plan can run is refused before any shard sees it."""
+        """A dtype no plan can run is refused before a server is built on it."""
         for dtype in ("int8", "float16"):
             with pytest.raises(ValueError, match="plan_dtype"):
                 ServerConfig(plan_dtype=dtype)
@@ -893,6 +894,27 @@ class TestHttpFrontend:
         _, front = http_stack
         status, body = _get(front.url + "/nope")
         assert status == 404
+
+    def test_keep_alive_round_trips_do_not_stall(self, http_stack):
+        """Headers and body go out as two writes; with Nagle's algorithm
+        on, the body waits for the client's delayed ACK, about 40 ms per
+        keep-alive response.  20 round trips on one connection must take
+        milliseconds."""
+        _, front = http_stack
+        conn = http.client.HTTPConnection(front.host, front.port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")  # connect outside the timed loop
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive round trips took {elapsed:.2f}s"
 
     def test_reload_corrupt_checkpoint_is_400_not_dropped(self, http_stack, tmp_path):
         _, front = http_stack

@@ -1,7 +1,7 @@
 """Round-trip and rejection properties of the two JSON wire codecs.
 
 ``event_to_json`` / ``event_from_json`` carry one streamed check-in
-(``POST /checkin`` and the cluster WAL); ``sample_from_json`` turns a
+(``POST /checkin`` and the durable event log); ``sample_from_json`` turns a
 ``POST /predict`` or ``/recommend`` body into a prediction sample.
 Bodies are parsed with :func:`json.loads`, which accepts ``NaN`` and
 ``±Infinity``, so both codecs must reject a non-finite timestamp with a
